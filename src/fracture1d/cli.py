@@ -14,19 +14,20 @@ import argparse
 import configparser
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import harness, serialize
 from .material import (
     MaterialModel,
     NonConvergence,
+    c_wstar,
     polynomial_model,
     resolve_model,
     surface_constant_quadrature,
 )
 from .regularized import SolveSettings, minimize as run_minimize
 from .sharp import DomainError, build_sharp_minimizer, crack_count, continuous_crack_estimate, reconstruct_deformation, v_n
-from .material import c_wstar
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,54 +38,55 @@ class ConfigError(ValueError):
     pass
 
 
-_COMMAND_KEYS = {
-    "cwstar": {"model", "abs_tol"},
-    "sharp": {"model", "lambda", "mu", "out"},
-    "minimize": {
-        "model",
-        "functional",
-        "lambda",
-        "mu",
-        "epsilon",
-        "grid",
-        "max_iterations",
-        "gtol",
-        "multistart",
-        "seed",
-        "strict",
-        "out",
-    },
-    "scan": {"model", "mu", "lambda_min", "lambda_max", "step", "out"},
-    "sweep": {
-        "model",
-        "functional",
-        "lambda",
-        "mu",
-        "epsilons",
-        "grid",
-        "max_iterations",
-        "gtol",
-        "multistart",
-        "seed",
-        "strict",
-        "out",
-    },
-    "reconstruct": {"field", "out"},
-}
+_SOLVES = ("minimize", "sweep")
 
-_DEFAULTS = {
-    "model": "lj",
-    "abs_tol": 1e-10,
-    "mu": 0.0,
-    "out": ".",
-    "functional": "V",
-    "grid": 1000,
-    "max_iterations": 3000,
-    "gtol": 1e-8,
-    "multistart": 3,
-    "seed": 0,
-    "strict": False,
-}
+
+@dataclass(frozen=True)
+class _Option:
+    """One setting, read from ``--key-with-dashes`` or ``key`` in the
+    command's config section.  ``commands`` None means every command;
+    a ``default`` of None means none."""
+
+    key: str
+    type: type
+    commands: tuple[str, ...] | None
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+
+# The one table of settings: it generates the parsers, the config
+# validation and the defaults.  ``functional`` has one entry per command
+# because the two commands accept different letters.
+_OPTIONS = (
+    _Option("model", str, None, "lj", help="material model name (default lj)"),
+    _Option("out", str, None, ".", help="output directory (default .)"),
+    _Option("abs_tol", float, ("cwstar",), 1e-10),
+    _Option("functional", str, ("minimize",), "V", ("E", "V"), "regularized functional"),
+    _Option("functional", str, ("sweep",), "V", ("I", "V"), "sharp limit; I sweeps E"),
+    _Option("lambda", float, ("sharp",) + _SOLVES),
+    _Option("mu", float, ("sharp", "scan") + _SOLVES, 0.0),
+    _Option("epsilon", float, ("minimize",)),
+    _Option("epsilons", str, ("sweep",), help="comma-separated decreasing list"),
+    _Option("grid", int, _SOLVES, 1000),
+    _Option("max_iterations", int, _SOLVES, 3000),
+    _Option("gtol", float, _SOLVES, 1e-8),
+    _Option("multistart", int, _SOLVES, 3),
+    _Option("seed", int, _SOLVES, 0),
+    _Option("strict", bool, _SOLVES, False),
+    _Option("lambda_min", float, ("scan",)),
+    _Option("lambda_max", float, ("scan",)),
+    _Option("step", float, ("scan",)),
+    _Option("field", str, ("reconstruct",), help="path of a saved piecewise-linear field"),
+)
+
+
+def _options(command: str) -> dict[str, _Option]:
+    return {o.key: o for o in _OPTIONS if o.commands is None or command in o.commands}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,58 +95,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sharp-interface and regularized 1d brittle-fracture energies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="INI config file; flags override its values")
-        p.add_argument("--model", help="material model name (default lj)")
-        p.add_argument("--out", help="output directory (default .)")
-
-    p = sub.add_parser("cwstar", help="print the surface-energy constant")
-    common(p)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float)
-
-    p = sub.add_parser("sharp", help="write the sharp minimizing configurations")
-    common(p)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--mu", type=float)
-
-    p = sub.add_parser("minimize", help="minimize a regularized functional")
-    common(p)
-    p.add_argument("--functional", choices=["E", "V"])
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p.add_argument("--gtol", type=float)
-    p.add_argument("--multistart", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--strict", action="store_const", const=True)
-
-    p = sub.add_parser("scan", help="tabulate the crack count across loads")
-    common(p)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--lambda-min", dest="lambda_min", type=float)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float)
-    p.add_argument("--step", type=float)
-
-    p = sub.add_parser("sweep", help="run an epsilon sweep against the sharp limit")
-    common(p)
-    p.add_argument("--functional", choices=["I", "V"])
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--epsilons", help="comma-separated decreasing list")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p.add_argument("--gtol", type=float)
-    p.add_argument("--multistart", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--strict", action="store_const", const=True)
-
-    p = sub.add_parser("reconstruct", help="recover the deformation graph from a field file")
-    common(p)
-    p.add_argument("--field", help="path of a saved piecewise-linear field")
-
+        for o in _options(command).values():
+            if o.type is bool:
+                p.add_argument(o.flag, dest=o.key, action="store_const", const=True, help=o.help)
+            else:
+                p.add_argument(o.flag, dest=o.key, type=o.type, choices=o.choices, help=o.help)
     return parser
 
 
@@ -155,20 +113,6 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
             raise ConfigError(f"config file {path!r} not found")
         cp.read(path)
     return cp
-
-
-def _merged_value(args, cli_name, config, section, key, cast):
-    cli_value = getattr(args, cli_name, None)
-    if cli_value is not None:
-        return cli_value
-    if config.has_option(section, key):
-        raw = config.get(section, key)
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    if key in _DEFAULTS:
-        return _DEFAULTS[key]
-    return None
 
 
 def _config_model(config: configparser.ConfigParser) -> dict[str, MaterialModel]:
@@ -191,41 +135,35 @@ def _config_model(config: configparser.ConfigParser) -> dict[str, MaterialModel]
     return {name: polynomial_model(name, values, growth)}
 
 
-_CASTS = {
-    "model": str,
-    "abs_tol": float,
-    "lambda": float,
-    "mu": float,
-    "epsilon": float,
-    "epsilons": str,
-    "grid": int,
-    "max_iterations": int,
-    "gtol": float,
-    "multistart": int,
-    "seed": int,
-    "strict": bool,
-    "out": str,
-    "functional": str,
-    "lambda_min": float,
-    "lambda_max": float,
-    "step": float,
-    "field": str,
-}
-
-_CLI_NAMES = {"lambda": "lam"}
+def _config_value(option: _Option, section: str, raw: str):
+    """A config value, cast and checked as its flag would be."""
+    if option.type is bool:
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if raw.lower() not in states:
+            raise ConfigError(f"[{section}] {option.key} must be a boolean, got {raw!r}")
+        return states[raw.lower()]
+    value = option.type(raw)
+    if option.choices and value not in option.choices:
+        raise ConfigError(
+            f"[{section}] {option.key} must be one of {list(option.choices)}, got {raw!r}"
+        )
+    return value
 
 
 def _gather(args, config) -> dict:
-    command = args.command
-    section = command
+    """Each setting of the command: its flag, else its config value, else its default."""
+    section = args.command
+    options = _options(section)
     if config.has_section(section):
-        unknown = set(config[section]) - _COMMAND_KEYS[command]
+        unknown = set(config[section]) - set(options)
         if unknown:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
     merged = {}
-    for key in _COMMAND_KEYS[command]:
-        cli_name = _CLI_NAMES.get(key, key)
-        merged[key] = _merged_value(args, cli_name, config, section, key, _CASTS[key])
+    for key, option in options.items():
+        value = getattr(args, key)
+        if value is None and config.has_option(section, key):
+            value = _config_value(option, section, config.get(section, key))
+        merged[key] = option.default if value is None else value
     return merged
 
 
@@ -246,6 +184,10 @@ def _out_dir(merged: dict) -> Path:
     out = Path(merged["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write(path: Path, text: str) -> None:
+    path.write_text(text, encoding="utf-8")
 
 
 def _model(merged: dict, config) -> MaterialModel:
@@ -282,13 +224,9 @@ def _cmd_sharp(merged, config) -> int:
         serialize.write_field(out / f"{stem}_variant{variant}.field", minimizer.field)
         cracks[variant] = minimizer.cracks
         graph = reconstruct_deformation(minimizer.field)
-        (out / f"{stem}_deformation_{variant}.csv").write_text(
-            serialize.deformation_csv(graph), encoding="utf-8"
-        )
-        (out / f"{stem}_deformation_{variant}.json").write_text(
-            serialize.deformation_json(graph), encoding="utf-8"
-        )
-    (out / f"{stem}_cracks.csv").write_text(serialize.cracks_csv(cracks), encoding="utf-8")
+        _write(out / f"{stem}_deformation_{variant}.csv", serialize.deformation_csv(graph))
+        _write(out / f"{stem}_deformation_{variant}.json", serialize.deformation_json(graph))
+    _write(out / f"{stem}_cracks.csv", serialize.cracks_csv(cracks))
     summary = {
         "lambda": lam,
         "mu": mu,
@@ -298,9 +236,7 @@ def _cmd_sharp(merged, config) -> int:
         "n": n,
         "energy": v_n(n, cw, mu, lam),
     }
-    (out / f"{stem}.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write(out / f"{stem}.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"n={n} energy={v_n(n, cw, mu, lam):.12g} x={x:.12g}")
     return EXIT_OK
 
@@ -308,7 +244,7 @@ def _cmd_sharp(merged, config) -> int:
 def _settings(merged) -> SolveSettings:
     return SolveSettings(
         lam=merged["lambda"],
-        epsilon=merged.get("epsilon", 1.0) or 1.0,
+        epsilon=merged.get("epsilon") or 1.0,  # sweeps set epsilon per row
         mu=merged["mu"],
         grid_n=merged["grid"],
         max_iterations=merged["max_iterations"],
@@ -319,7 +255,7 @@ def _settings(merged) -> SolveSettings:
 
 
 def _cmd_minimize(merged, config) -> int:
-    _require(merged, "lambda", "epsilon", "functional")
+    _require(merged, "lambda", "epsilon")
     _require_positive(merged, "lambda", "epsilon", "grid", "gtol", "max_iterations")
     model = _model(merged, config)
     out = _out_dir(merged)
@@ -329,9 +265,7 @@ def _cmd_minimize(merged, config) -> int:
         f"minimize_{merged['functional']}_lambda{merged['lambda']:g}"
         f"_mu{merged['mu']:g}_eps{merged['epsilon']:g}"
     )
-    (out / f"{stem}.csv").write_text(
-        serialize.discrete_csv(result.minimizer), encoding="utf-8"
-    )
+    _write(out / f"{stem}.csv", serialize.discrete_csv(result.minimizer))
     metadata = {
         "functional": merged["functional"],
         "lambda": merged["lambda"],
@@ -341,9 +275,7 @@ def _cmd_minimize(merged, config) -> int:
         "seed": merged["seed"],
         "model": model.name,
     }
-    (out / f"{stem}.json").write_text(
-        serialize.solve_summary_json(result, metadata), encoding="utf-8"
-    )
+    _write(out / f"{stem}.json", serialize.solve_summary_json(result, metadata))
     print(
         f"energy={result.energy:.12g} rescaled={result.rescaled_energy:.12g} "
         f"transitions={result.transition_count} converged={result.converged}"
@@ -364,39 +296,30 @@ def _cmd_scan(merged, config) -> int:
         (merged["lambda_min"], merged["lambda_max"]), merged["step"], merged["mu"], model
     )
     stem = f"scan_mu{merged['mu']:g}"
-    (out / f"{stem}.csv").write_text(serialize.scan_csv(report), encoding="utf-8")
-    (out / f"{stem}.json").write_text(serialize.scan_json(report), encoding="utf-8")
+    _write(out / f"{stem}.csv", serialize.scan_csv(report))
+    _write(out / f"{stem}.json", serialize.scan_json(report))
     print(f"rows={len(report.rows)}")
     return EXIT_OK
 
 
 def _cmd_sweep(merged, config) -> int:
-    _require(merged, "lambda", "epsilons", "functional")
+    _require(merged, "lambda", "epsilons")
     _require_positive(merged, "lambda", "grid", "gtol", "max_iterations")
     epsilons = [float(tok) for tok in merged["epsilons"].replace(",", " ").split()]
     model = _model(merged, config)
     out = _out_dir(merged)
-    base = SolveSettings(
-        lam=merged["lambda"],
-        epsilon=1.0,
-        mu=merged["mu"],
-        grid_n=merged["grid"],
-        max_iterations=merged["max_iterations"],
-        gtol=merged["gtol"],
-        multistart=merged["multistart"],
-        seed=merged["seed"],
-    )
+    settings = _settings(merged)
     if merged["functional"] == "I":
         report = harness.gamma_sweep_I(
-            merged["lambda"], model, epsilons, merged["grid"], base
+            merged["lambda"], model, epsilons, merged["grid"], settings
         )
     else:
         report = harness.gamma_sweep_V(
-            merged["lambda"], merged["mu"], model, epsilons, merged["grid"], base
+            merged["lambda"], merged["mu"], model, epsilons, merged["grid"], settings
         )
     stem = f"sweep_{merged['functional']}_lambda{merged['lambda']:g}_mu{merged['mu']:g}"
-    (out / f"{stem}.csv").write_text(serialize.sweep_csv(report), encoding="utf-8")
-    (out / f"{stem}.json").write_text(serialize.sweep_json(report), encoding="utf-8")
+    _write(out / f"{stem}.csv", serialize.sweep_csv(report))
+    _write(out / f"{stem}.json", serialize.sweep_json(report))
     not_converged = [row.epsilon for row in report.rows if not row.converged]
     print(f"rows={len(report.rows)} unconverged={len(not_converged)}")
     if merged["strict"] and not_converged:
@@ -413,19 +336,20 @@ def _cmd_reconstruct(merged, config) -> int:
     graph = reconstruct_deformation(parsed)
     out = _out_dir(merged)
     stem = path.stem + "_deformation"
-    (out / f"{stem}.csv").write_text(serialize.deformation_csv(graph), encoding="utf-8")
-    (out / f"{stem}.json").write_text(serialize.deformation_json(graph), encoding="utf-8")
+    _write(out / f"{stem}.csv", serialize.deformation_csv(graph))
+    _write(out / f"{stem}.json", serialize.deformation_json(graph))
     print(f"segments={len(graph.segments)} jumps={len(graph.jumps)}")
     return EXIT_OK
 
 
-_HANDLERS = {
-    "cwstar": _cmd_cwstar,
-    "sharp": _cmd_sharp,
-    "minimize": _cmd_minimize,
-    "scan": _cmd_scan,
-    "sweep": _cmd_sweep,
-    "reconstruct": _cmd_reconstruct,
+# command -> (help, handler)
+_COMMANDS = {
+    "cwstar": ("print the surface-energy constant", _cmd_cwstar),
+    "sharp": ("write the sharp minimizing configurations", _cmd_sharp),
+    "minimize": ("minimize a regularized functional", _cmd_minimize),
+    "scan": ("tabulate the crack count across loads", _cmd_scan),
+    "sweep": ("run an epsilon sweep against the sharp limit", _cmd_sweep),
+    "reconstruct": ("recover the deformation graph from a field file", _cmd_reconstruct),
 }
 
 
@@ -435,11 +359,8 @@ def main(argv=None) -> int:
     try:
         config = _read_config(getattr(args, "config", None))
         merged = _gather(args, config)
-        return _HANDLERS[args.command](merged, config)
-    except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConfigError, DomainError, ValueError) as exc:
+        return _COMMANDS[args.command][1](merged, config)
+    except (NonConvergence, ConfigError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

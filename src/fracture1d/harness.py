@@ -47,6 +47,9 @@ __all__ = [
 _LOWER_SLACK = 0.98
 _UPPER_SLACK = 1.25
 
+# The regularized functional each sweep solves.
+_SOLVED = {"I": "E", "V": "V"}
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -105,17 +108,85 @@ def _sorted_epsilons(epsilons: Sequence[float]) -> list[float]:
     return eps
 
 
-def _base_settings(lam, grid_n, settings: SolveSettings | None) -> SolveSettings:
-    if settings is None:
-        return SolveSettings(lam=lam, epsilon=1.0, grid_n=grid_n)
-    return replace(settings, lam=lam, grid_n=grid_n)
-
-
 def _l1(values: np.ndarray, ref: np.ndarray, spacing: float) -> float:
     # Cell-midpoint rule sidesteps the ambiguity at jump nodes.
     mid = 0.5 * (values[:-1] + values[1:])
     ref_mid = 0.5 * (ref[:-1] + ref[1:])
     return float(spacing * np.sum(np.abs(mid - ref_mid)))
+
+
+def _nearest_by_l1(h, candidates, spacing):
+    l1, name = min((_l1(h, ref, spacing), name) for name, ref in candidates)
+    return l1, None, None, name
+
+
+def _nearest_by_slopes(h, candidates, spacing):
+    scored = []
+    for name, ref in candidates:
+        # L1 of the slope difference; the spacings cancel.
+        slope_dist = float(np.sum(np.abs(np.diff(h) - np.diff(ref))))
+        scored.append((slope_dist, _l1(h, ref, spacing), float(np.max(np.abs(h - ref))), name))
+    slope_dist, l1, sup, name = min(scored)
+    return l1, slope_dist, sup, name
+
+
+def _sweep(
+    functional, lam, mu, model, epsilons, grid_n, settings, references, nearest, lower_bound
+) -> SweepReport:
+    """Continuation over the decreasing ``epsilons``, one best-of-multistart
+    solve per row, scored against the sharp references.
+
+    ``references(cw, nodes)``, called once the inputs are validated, gives
+    the named reference node values and the sharp value (the upper
+    sandwich check is skipped when it is None or 0).  ``nearest(h,
+    references, spacing)`` gives the L1, slope-L1 and sup distances to the
+    closest reference and its name.  ``lower_bound(field, model)`` is the
+    equipartition bound of a minimizer.
+    """
+    eps_list = _sorted_epsilons(epsilons)
+    base = settings or SolveSettings(lam=lam, epsilon=1.0)
+    base = replace(base, lam=lam, grid_n=grid_n, mu=mu)
+    cw = c_wstar(model)
+    candidates, sharp_value = references(cw, np.linspace(0.0, lam, grid_n + 1))
+    rows = []
+    warm: list[tuple[str, np.ndarray]] = []
+    for eps in eps_list:
+        result = minimize(_SOLVED[functional], model, replace(base, epsilon=eps), extra_inits=warm)
+        warm = [("continuation", result.minimizer.values.copy())]
+        l1, slope_dist, sup, name = nearest(
+            result.minimizer.values, candidates, result.minimizer.spacing
+        )
+        bound = lower_bound(result.minimizer, model)
+        suspect = result.rescaled_energy < _LOWER_SLACK * bound
+        if sharp_value:
+            suspect = suspect or result.rescaled_energy > _UPPER_SLACK * sharp_value
+        rows.append(
+            SweepRow(
+                epsilon=eps,
+                energy=result.energy,
+                rescaled_energy=result.rescaled_energy,
+                transition_count=result.transition_count,
+                l1_distance_to_sharp=l1,
+                h1_seminorm_distance=slope_dist,
+                sup_distance=sup,
+                mm_lower_bound=bound,
+                nearest_candidate=name,
+                converged=result.converged,
+                suspect=suspect,
+            )
+        )
+    metadata = {
+        "functional": functional,
+        "lambda": lam,
+        "mu": mu,
+        "model": model.name,
+        "grid_n": grid_n,
+        "seed": base.seed,
+        "gtol": base.gtol,
+        "c_wstar": cw,
+        "candidates": [name for name, _ in candidates],
+    }
+    return SweepReport(tuple(rows), metadata)
 
 
 def gamma_sweep_I(
@@ -131,60 +202,19 @@ def gamma_sweep_I(
     at lam = 1 the unbroken state and below it the homogeneous one, for
     which the sandwich diagnostics are skipped.
     """
-    eps_list = _sorted_epsilons(epsilons)
-    base = _base_settings(lam, grid_n, settings)
-    cw = c_wstar(model)
-    nodes = np.linspace(0.0, lam, grid_n + 1)
-    if lam > 1.0 + 1e-12:
-        candidates = [
-            ("endA", PiecewiseConstantField(lam, (1.0,), (1.0, 0.0)).value_at(nodes)),
-            ("endB", PiecewiseConstantField(lam, (lam - 1.0,), (0.0, 1.0)).value_at(nodes)),
-        ]
-        sharp_value = cw
-    else:
-        candidates = [("homogeneous", np.full(grid_n + 1, 1.0 / lam))]
-        sharp_value = None
 
-    rows = []
-    warm: list[tuple[str, np.ndarray]] = []
-    for eps in eps_list:
-        run = replace(base, epsilon=eps)
-        result = minimize("E", model, run, extra_inits=warm)
-        warm = [("continuation", result.minimizer.values.copy())]
-        spacing = result.minimizer.spacing
-        dists = [(_l1(result.minimizer.values, ref, spacing), name) for name, ref in candidates]
-        dist, name = min(dists)
-        bound = mm_lower_bound_H(result.minimizer, model)
-        suspect = result.rescaled_energy < _LOWER_SLACK * bound
-        if sharp_value is not None:
-            suspect = suspect or result.rescaled_energy > _UPPER_SLACK * sharp_value
-        rows.append(
-            SweepRow(
-                epsilon=eps,
-                energy=result.energy,
-                rescaled_energy=result.rescaled_energy,
-                transition_count=result.transition_count,
-                l1_distance_to_sharp=dist,
-                h1_seminorm_distance=None,
-                sup_distance=None,
-                mm_lower_bound=bound,
-                nearest_candidate=name,
-                converged=result.converged,
-                suspect=suspect,
-            )
-        )
-    metadata = {
-        "functional": "I",
-        "lambda": lam,
-        "mu": 0.0,
-        "model": model.name,
-        "grid_n": grid_n,
-        "seed": base.seed,
-        "gtol": base.gtol,
-        "c_wstar": cw,
-        "candidates": [name for name, _ in candidates],
-    }
-    return SweepReport(tuple(rows), metadata)
+    def references(cw, nodes):
+        if lam > 1.0 + 1e-12:
+            return [
+                ("endA", PiecewiseConstantField(lam, (1.0,), (1.0, 0.0)).value_at(nodes)),
+                ("endB", PiecewiseConstantField(lam, (lam - 1.0,), (0.0, 1.0)).value_at(nodes)),
+            ], cw
+        return [("homogeneous", np.full(grid_n + 1, 1.0 / lam))], None
+
+    return _sweep(
+        "I", lam, 0.0, model, epsilons, grid_n, settings, references, _nearest_by_l1,
+        mm_lower_bound_H,
+    )
 
 
 def gamma_sweep_V(
@@ -201,70 +231,24 @@ def gamma_sweep_V(
     configuration; distances are reported in L1 of the field, L1 of the
     slopes (the discrete first-derivative seminorm proxy) and sup norm.
     """
-    eps_list = _sorted_epsilons(epsilons)
-    base = _base_settings(lam, grid_n, settings)
-    base = replace(base, mu=mu)
-    cw = c_wstar(model)
-    nodes = np.linspace(0.0, lam, grid_n + 1)
-    if lam > 1.0 + 1e-12:
-        n_star = crack_count(cw, mu, lam)
-        candidates = [
-            (f"variant{v}(n={n_star})", np.interp(nodes, f.knots, f.knot_values))
-            for v, f in (
-                ("A", build_sharp_minimizer(n_star, lam, "A", cw, mu).field),
-                ("B", build_sharp_minimizer(n_star, lam, "B", cw, mu).field),
-            )
-        ]
-        sharp_value = v_n(n_star, cw, mu, lam)
-    else:
-        candidates = [("homogeneous", np.linspace(0.0, 1.0, grid_n + 1))]
-        sharp_value = None if lam < 1.0 - 1e-12 else 0.0
 
-    rows = []
-    warm: list[tuple[str, np.ndarray]] = []
-    for eps in eps_list:
-        run = replace(base, epsilon=eps)
-        result = minimize("V", model, run, extra_inits=warm)
-        warm = [("continuation", result.minimizer.values.copy())]
-        h = result.minimizer.values
-        spacing = result.minimizer.spacing
-        scored = []
-        for name, ref in candidates:
-            # L1 of the slope difference; the spacings cancel.
-            slope_dist = float(np.sum(np.abs(np.diff(h) - np.diff(ref))))
-            scored.append((slope_dist, _l1(h, ref, spacing), float(np.max(np.abs(h - ref))), name))
-        slope_dist, l1_dist, sup_dist, name = min(scored)
-        bound = mm_lower_bound_slopes(result.minimizer, model)
-        suspect = result.rescaled_energy < _LOWER_SLACK * bound
-        if sharp_value is not None and sharp_value > 0.0:
-            suspect = suspect or result.rescaled_energy > _UPPER_SLACK * sharp_value
-        rows.append(
-            SweepRow(
-                epsilon=eps,
-                energy=result.energy,
-                rescaled_energy=result.rescaled_energy,
-                transition_count=result.transition_count,
-                l1_distance_to_sharp=l1_dist,
-                h1_seminorm_distance=slope_dist,
-                sup_distance=sup_dist,
-                mm_lower_bound=bound,
-                nearest_candidate=name,
-                converged=result.converged,
-                suspect=suspect,
-            )
-        )
-    metadata = {
-        "functional": "V",
-        "lambda": lam,
-        "mu": mu,
-        "model": model.name,
-        "grid_n": grid_n,
-        "seed": base.seed,
-        "gtol": base.gtol,
-        "c_wstar": cw,
-        "candidates": [name for name, _ in candidates],
-    }
-    return SweepReport(tuple(rows), metadata)
+    def references(cw, nodes):
+        if lam > 1.0 + 1e-12:
+            n_star = crack_count(cw, mu, lam)
+            return [
+                (f"variant{v}(n={n_star})", np.interp(nodes, f.knots, f.knot_values))
+                for v, f in (
+                    ("A", build_sharp_minimizer(n_star, lam, "A", cw, mu).field),
+                    ("B", build_sharp_minimizer(n_star, lam, "B", cw, mu).field),
+                )
+            ], v_n(n_star, cw, mu, lam)
+        sharp_value = None if lam < 1.0 - 1e-12 else 0.0
+        return [("homogeneous", np.linspace(0.0, 1.0, grid_n + 1))], sharp_value
+
+    return _sweep(
+        "V", lam, mu, model, epsilons, grid_n, settings, references, _nearest_by_slopes,
+        mm_lower_bound_slopes,
+    )
 
 
 def crack_scan(
@@ -289,7 +273,8 @@ def crack_scan(
             continue
         x = continuous_crack_estimate(cw, mu, lam)
         n = crack_count(cw, mu, lam)
-        assert n >= previous, "crack count must be nondecreasing in lambda"
+        if n < previous:
+            raise RuntimeError(f"crack count fell from {previous} to {n} at lambda={lam:g}")
         previous = n
         positions = tuple(
             pos for pos, _ in build_sharp_minimizer(n, lam, "A", cw, mu).cracks

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,7 +93,12 @@ class DiscreteField:
 
 @dataclass
 class SolveSettings:
-    """Solver configuration; the grid must resolve the transition width."""
+    """One solve: the load ``lam``, the regularization ``epsilon``, the
+    foundation stiffness ``mu`` (V only), the number of grid cells, the
+    iteration cap and stationarity tolerance of each descent, and the
+    count and seed of the random starts.  The grid must resolve the
+    transition width; the line-search constants are fixed in ``_descend``.
+    """
 
     lam: float
     epsilon: float
@@ -101,11 +106,6 @@ class SolveSettings:
     grid_n: int = 1000
     max_iterations: int = 1500
     gtol: float = 1e-8
-    step_init: float = 1.0
-    step_min: float = 1e-14
-    step_max: float = 1e6
-    armijo: float = 1e-4
-    backtrack: float = 0.5
     multistart: int = 2
     seed: int = 0
 
@@ -118,8 +118,8 @@ class SolveSettings:
             raise ValueError("mu must be nonnegative")
         if self.grid_n < 16:
             raise ValueError("grid_n must be at least 16")
-        if self.gtol <= 0.0 or self.step_min <= 0.0 or self.armijo <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.gtol <= 0.0:
+            raise ValueError("gtol must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -328,16 +328,18 @@ def phi_interpolator(model: MaterialModel, s_max: float = 3.0, samples: int = 81
     return lambda s: np.interp(np.asarray(s, dtype=float), grid, phi)
 
 
+def _phi_variation(values: np.ndarray, model: MaterialModel) -> float:
+    phi = phi_interpolator(model, s_max=float(np.max(values)) + 1.0)
+    return float(np.sum(np.abs(np.diff(phi(values)))))
+
+
 def mm_lower_bound_H(h_field: DiscreteField, model: MaterialModel) -> float:
     """Total variation of phi(H): the equipartition bound on the rescaled energy."""
-    phi = phi_interpolator(model, s_max=float(np.max(h_field.values)) + 1.0)
-    return float(np.sum(np.abs(np.diff(phi(h_field.values)))))
+    return _phi_variation(h_field.values, model)
 
 
 def mm_lower_bound_slopes(h_field: DiscreteField, model: MaterialModel) -> float:
-    s = h_field.slopes()
-    phi = phi_interpolator(model, s_max=float(np.max(s)) + 1.0)
-    return float(np.sum(np.abs(np.diff(phi(s)))))
+    return _phi_variation(h_field.slopes(), model)
 
 
 def transition_profile(
@@ -454,41 +456,43 @@ def _smooth_noise(rng: np.random.Generator, n_nodes: int, modes: int = 6) -> np.
     return out / peak if peak > 0.0 else out
 
 
-def _starts_E(model, settings: SolveSettings) -> list[tuple[str, np.ndarray]]:
+def _sharp_neighbours(model, settings: SolveSettings):
+    """Both variants for the predicted crack count and its neighbours."""
+    lam, mu = settings.lam, settings.mu
+    cw = c_wstar(model)
+    n_star = crack_count(cw, mu, lam)
+    return [
+        (f"mollified-{variant}{nn}", build_sharp_minimizer(nn, lam, variant, cw, mu).field)
+        for nn in sorted({max(1, n_star - 1), n_star, n_star + 1})
+        for variant in ("A", "B")
+    ]
+
+
+def _start_battery(
+    kind: _Functional, model, settings: SolveSettings
+) -> list[tuple[str, np.ndarray]]:
+    """The homogeneous state (the zero-noise start), mollified sharp
+    candidates of a stretched bar, then seeded random perturbations."""
     lam, n = settings.lam, settings.grid_n
-    starts = [("homogeneous", np.full(n + 1, 1.0 / lam))]
+    starts = [("homogeneous", kind.start(lam, np.zeros(n + 1)))]
     if lam > 1.0 + 1e-12:
-        end_a = PiecewiseConstantField(lam, (1.0,), (1.0, 0.0))
-        end_b = PiecewiseConstantField(lam, (lam - 1.0,), (0.0, 1.0))
-        for label, pc in (("mollified-endA", end_a), ("mollified-endB", end_b)):
-            starts.append(
-                (label, mollify_sharp_candidate(pc, settings.epsilon, model, n).values)
-            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OverlapWarning)
+            for label, sharp in kind.sharp_candidates(model, settings):
+                cand = mollify_sharp_candidate(sharp, settings.epsilon, model, n)
+                starts.append((label, cand.values))
     rng = np.random.default_rng(settings.seed)
     for i in range(settings.multistart):
-        noise = _smooth_noise(rng, n + 1)
-        starts.append((f"random-{i}", (1.0 / lam) * (1.0 + 0.6 * noise)))
+        starts.append((f"random-{i}", kind.start(lam, _smooth_noise(rng, n + 1))))
     return starts
 
 
-def _starts_V(model, settings: SolveSettings) -> list[tuple[str, np.ndarray]]:
-    lam, n = settings.lam, settings.grid_n
-    starts = [("homogeneous", np.linspace(0.0, 1.0, n + 1))]
-    if lam > 1.0 + 1e-12:
-        cw = c_wstar(model)
-        n_star = crack_count(cw, settings.mu, lam)
-        for nn in sorted({max(1, n_star - 1), n_star, n_star + 1}):
-            for variant in ("A", "B"):
-                sharp = build_sharp_minimizer(nn, lam, variant, cw, settings.mu).field
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", OverlapWarning)
-                    cand = mollify_sharp_candidate(sharp, settings.epsilon, model, n)
-                starts.append((f"mollified-{variant}{nn}", cand.values))
-    rng = np.random.default_rng(settings.seed)
-    for i in range(settings.multistart):
-        noise = _smooth_noise(rng, n + 1)
-        starts.append((f"random-{i}", np.linspace(0.0, 1.0, n + 1) + 0.25 * noise))
-    return starts
+# Step-length bounds and line-search constants of the descent.
+_STEP_INIT = 1.0
+_STEP_MIN = 1e-14
+_STEP_MAX = 1e6
+_ARMIJO = 1e-4
+_BACKTRACK = 0.5
 
 
 def _descend(
@@ -503,7 +507,7 @@ def _descend(
     gx = gradient(x)
     history = [fx]
     x_prev = g_prev = None
-    step = settings.step_init
+    step = _STEP_INIT
     converged = False
     iterations = 0
     stall_window = 30
@@ -517,19 +521,19 @@ def _descend(
             yv = gx - g_prev
             sy = float(s @ yv)
             if sy > 1e-30:
-                step = min(max(float(s @ s) / sy, settings.step_min), settings.step_max)
+                step = min(max(float(s @ s) / sy, _STEP_MIN), _STEP_MAX)
             else:
-                step = min(2.0 * step, settings.step_max)
+                step = min(2.0 * step, _STEP_MAX)
         trial = step
         accepted = False
         for _ in range(40):
             xn = proj(x - trial * gx)
             fn = energy(xn)
-            if fn <= fx - settings.armijo * float(gx @ (x - xn)):
+            if fn <= fx - _ARMIJO * float(gx @ (x - xn)):
                 accepted = True
                 break
-            trial *= settings.backtrack
-            if trial < settings.step_min:
+            trial *= _BACKTRACK
+            if trial < _STEP_MIN:
                 break
         if not accepted:
             break  # no admissible descent step left at this precision
@@ -543,6 +547,42 @@ def _descend(
         ):
             break  # energy has flatlined; the gradient test decides convergence
     return x, fx, iterations, converged, history
+
+
+class _Functional(NamedTuple):
+    """What the solver needs to know about one regularized functional."""
+
+    energy: Callable  # (values, settings, model) -> float
+    gradient: Callable  # (values, settings, model) -> node gradient
+    project: Callable  # (values, lam) -> feasible values
+    start: Callable  # (lam, noise) -> homogeneous state perturbed by noise
+    sharp_candidates: Callable  # (model, settings) -> [(label, sharp field)]
+    transitions: Callable  # DiscreteField -> transition count
+
+
+# Projections are looked up when called, so they can be replaced at
+# their module-level names.
+_FUNCTIONALS = {
+    "E": _Functional(
+        energy=lambda v, s, model: _e_energy(v, s.lam, s.epsilon, model),
+        gradient=lambda v, s, model: _e_grad(v, s.lam, s.epsilon, model),
+        project=lambda v, lam: project_H(v, lam).values,
+        start=lambda lam, noise: (1.0 / lam) * (1.0 + 0.6 * noise),
+        sharp_candidates=lambda model, s: [
+            ("mollified-endA", PiecewiseConstantField(s.lam, (1.0,), (1.0, 0.0))),
+            ("mollified-endB", PiecewiseConstantField(s.lam, (s.lam - 1.0,), (0.0, 1.0))),
+        ],
+        transitions=lambda f: transition_count_values(f.values),
+    ),
+    "V": _Functional(
+        energy=lambda v, s, model: _v_energy(v, s.lam, s.epsilon, s.mu, model),
+        gradient=lambda v, s, model: _v_grad(v, s.lam, s.epsilon, s.mu, model),
+        project=lambda v, lam: project_h(v, lam).values,
+        start=lambda lam, noise: np.linspace(0.0, 1.0, noise.size) + 0.25 * noise,
+        sharp_candidates=_sharp_neighbours,
+        transitions=transition_count_slopes,
+    ),
+}
 
 
 def minimize(
@@ -561,21 +601,13 @@ def minimize(
     perturbations.  Results never raise on non-convergence; check the
     ``converged`` flag.
     """
-    kind = functional.upper()
-    if kind not in ("E", "V"):
+    kind = _FUNCTIONALS.get(functional.upper())
+    if kind is None:
         raise ValueError("functional must be 'E' or 'V'")
-    lam, eps, mu = settings.lam, settings.epsilon, settings.mu
-
-    if kind == "E":
-        energy = lambda v: _e_energy(v, lam, eps, model)
-        gradient = lambda v: _e_grad(v, lam, eps, model)
-        proj = lambda v: project_H(v, lam).values
-        battery = _starts_E(model, settings)
-    else:
-        energy = lambda v: _v_energy(v, lam, eps, mu, model)
-        gradient = lambda v: _v_grad(v, lam, eps, mu, model)
-        proj = lambda v: project_h(v, lam).values
-        battery = _starts_V(model, settings)
+    energy = lambda v: kind.energy(v, settings, model)
+    gradient = lambda v: kind.gradient(v, settings, model)
+    proj = lambda v: kind.project(v, settings.lam)
+    battery = _start_battery(kind, model, settings)
 
     if isinstance(init, DiscreteField):
         starts = [("user", init.values)]
@@ -597,18 +629,13 @@ def minimize(
             best = (x, fx, iterations, converged, history, label)
 
     x, fx, iterations, converged, history, label = best
-    out = DiscreteField(lam, x)
-    transitions = (
-        transition_count_values(out.values)
-        if kind == "E"
-        else transition_count_slopes(out)
-    )
+    out = DiscreteField(settings.lam, x)
     return SolveResult(
         minimizer=out,
         energy=fx,
-        rescaled_energy=fx / eps,
+        rescaled_energy=fx / settings.epsilon,
         iterations=iterations,
-        transition_count=transitions,
+        transition_count=kind.transitions(out),
         converged=converged,
         start_label=label,
         energy_history=history,

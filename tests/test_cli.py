@@ -276,3 +276,32 @@ def test_cli_config_missing_file_rejected():
 
 def test_cli_missing_required_setting(tmp_path):
     assert main(["sharp", "--mu", "200", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [("sweep", "i"), ("sweep", "E"), ("minimize", "e"), ("minimize", "I")],
+)
+def test_cli_config_functional_checked_against_choices(tmp_path, capsys, section, value):
+    ladder = "epsilons = 0.1" if section == "sweep" else "epsilon = 0.1"
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"[{section}]\nfunctional = {value}\nlambda = 1\n{ladder}\ngrid = 32\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main([section, "--config", str(config), "--out", str(out)]) == 2
+    assert "functional" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, code", [("maybe", 2), ("2", 2), ("yes", 3), ("On", 3)])
+def test_cli_config_strict_accepts_only_boolean_words(tmp_path, value, code):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[minimize]\nstrict = {value}\n", encoding="utf-8")
+    rc = main([
+        "minimize", "--config", str(config), "--functional", "E", "--lambda", "1.4",
+        "--epsilon", "0.05", "--grid", "64", "--max-iterations", "2",
+        "--multistart", "0", "--out", str(tmp_path),
+    ])
+    assert rc == code

@@ -133,3 +133,12 @@ def test_scan_report_validates_lambda_order():
     assert isinstance(report, ScanReport)
     lams = [row.lam for row in report.rows]
     assert lams == sorted(lams)
+
+
+def test_crack_scan_raises_when_the_count_steps_down(monkeypatch):
+    import fracture1d.harness as harness
+
+    counts = iter([3, 2])
+    monkeypatch.setattr(harness, "crack_count", lambda cw, mu, lam: next(counts))
+    with pytest.raises(RuntimeError, match="crack count fell"):
+        crack_scan((1.0, 1.3), 0.1, 200.0, LJ)
