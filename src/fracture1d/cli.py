@@ -39,17 +39,18 @@ class ConfigError(ValueError):
 
 
 _SOLVES = ("minimize", "sweep")
+_WRITERS = ("sharp", "scan", "reconstruct") + _SOLVES  # commands with output files
 
 
 @dataclass(frozen=True)
 class _Option:
-    """One setting, read from ``--key-with-dashes`` or ``key`` in the
-    command's config section.  ``commands`` None means every command;
-    a ``default`` of None means none."""
+    """One setting of the listed commands, read from ``--key-with-dashes``
+    or ``key`` in the command's config section.  A ``default`` of None
+    means none."""
 
     key: str
     type: type
-    commands: tuple[str, ...] | None
+    commands: tuple[str, ...]
     default: object = None
     choices: tuple[str, ...] | None = None
     help: str | None = None
@@ -63,8 +64,9 @@ class _Option:
 # validation and the defaults.  ``functional`` has one entry per command
 # because the two commands accept different letters.
 _OPTIONS = (
-    _Option("model", str, None, "lj", help="material model name (default lj)"),
-    _Option("out", str, None, ".", help="output directory (default .)"),
+    _Option("model", str, ("cwstar", "sharp", "scan") + _SOLVES, "lj",
+            help="material model name (default lj)"),
+    _Option("out", str, _WRITERS, ".", help="output directory (default .)"),
     _Option("abs_tol", float, ("cwstar",), 1e-10),
     _Option("functional", str, ("minimize",), "V", ("E", "V"), "regularized functional"),
     _Option("functional", str, ("sweep",), "V", ("I", "V"), "sharp limit; I sweeps E"),
@@ -86,7 +88,7 @@ _OPTIONS = (
 
 
 def _options(command: str) -> dict[str, _Option]:
-    return {o.key: o for o in _OPTIONS if o.commands is None or command in o.commands}
+    return {o.key: o for o in _OPTIONS if command in o.commands}
 
 
 def _build_parser() -> argparse.ArgumentParser:

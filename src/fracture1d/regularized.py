@@ -271,24 +271,35 @@ def isotonic_regression(y: Sequence[float], weights: Sequence[float] | None = No
     # Stack of pooled blocks on plain floats; numpy scalars are too slow here.
     ylist = y.tolist()
     wlist = w.tolist()
-    means = [0.0] * n
-    wsums = [0.0] * n
-    counts = [0] * n
-    top = -1
-    for i in range(n):
-        top += 1
-        means[top] = ylist[i]
-        wsums[top] = wlist[i]
-        counts[top] = 1
-        while top > 0 and means[top - 1] > means[top]:
-            total = wsums[top - 1] + wsums[top]
-            means[top - 1] = (
-                means[top - 1] * wsums[top - 1] + means[top] * wsums[top]
-            ) / total
-            wsums[top - 1] = total
-            counts[top - 1] += counts[top]
-            top -= 1
-    return np.repeat(means[: top + 1], counts[: top + 1])
+    # run_end[k]: last index of the nondecreasing run holding k, found by the
+    # same comparison the merge test makes.
+    drops = np.flatnonzero(y[:-1] > y[1:])
+    run_end = np.append(drops, n - 1)[np.searchsorted(drops, np.arange(n))].tolist()
+    means, wsums, counts = [], [], []
+    i = 0
+    while i < n:
+        m, wm, c = ylist[i], wlist[i], 1
+        merged = False
+        while means and means[-1] > m:
+            w_prev = wsums.pop()
+            total = w_prev + wm
+            m = (means.pop() * w_prev + m * wm) / total
+            wm = total
+            c += counts.pop()
+            merged = True
+        means.append(m)
+        wsums.append(wm)
+        counts.append(c)
+        i += 1
+        if not merged:
+            # Nothing was pooled, so the rest of the run pushes as
+            # singletons that pool with nothing: take it in one step.
+            end = run_end[i - 1] + 1
+            means += ylist[i:end]
+            wsums += wlist[i:end]
+            counts += [1] * (end - i)
+            i = end
+    return np.repeat(means, counts)
 
 
 def project_h(values: Sequence[float], lam: float) -> DiscreteField:
@@ -512,10 +523,6 @@ def _descend(
     iterations = 0
     stall_window = 30
     for iterations in range(1, settings.max_iterations + 1):
-        pg = x - proj(x - gx)
-        if float(np.linalg.norm(pg)) <= settings.gtol * (1.0 + float(np.linalg.norm(gx))):
-            converged = True
-            break
         if x_prev is not None:
             s = x - x_prev
             yv = gx - g_prev
@@ -525,9 +532,23 @@ def _descend(
             else:
                 step = min(2.0 * step, _STEP_MAX)
         trial = step
+        xn = proj(x - trial * gx)
+        # Stationarity test ||x - P(x - g)|| <= tol.  For a projection onto
+        # a convex set, ||x - P(x - t g)|| is nondecreasing in t and
+        # ||x - P(x - t g)|| / t is nonincreasing (Calamai & More, Math.
+        # Program. 39, 1987, Lemma 2.2), so the first trial step bounds the
+        # unit-step residual from below by ||x - xn|| / max(step, 1).  Only
+        # when that bound is within a factor 2 of tol, a margin for
+        # rounding in the projections, is the exact test worth a projection.
+        tol = settings.gtol * (1.0 + float(np.linalg.norm(gx)))
+        if float(np.linalg.norm(x - xn)) / max(trial, 1.0) <= 2.0 * tol:
+            if float(np.linalg.norm(x - proj(x - gx))) <= tol:
+                converged = True
+                break
         accepted = False
-        for _ in range(40):
-            xn = proj(x - trial * gx)
+        for attempt in range(40):
+            if attempt:
+                xn = proj(x - trial * gx)
             fn = energy(xn)
             if fn <= fx - _ARMIJO * float(gx @ (x - xn)):
                 accepted = True
@@ -607,17 +628,16 @@ def minimize(
     energy = lambda v: kind.energy(v, settings, model)
     gradient = lambda v: kind.gradient(v, settings, model)
     proj = lambda v: kind.project(v, settings.lam)
-    battery = _start_battery(kind, model, settings)
 
     if isinstance(init, DiscreteField):
         starts = [("user", init.values)]
-    elif isinstance(init, str):
-        named = {label: v for label, v in battery}
+    else:
+        starts = _start_battery(kind, model, settings)
+    if isinstance(init, str):
+        named = dict(starts)
         if init not in named:
             raise ValueError(f"unknown start strategy {init!r}")
         starts = [(init, named[init])]
-    else:
-        starts = battery
     starts = list(starts) + [(label, np.asarray(v, float)) for label, v in extra_inits]
 
     best = None

@@ -305,3 +305,34 @@ def test_cli_config_strict_accepts_only_boolean_words(tmp_path, value, code):
         "--multistart", "0", "--out", str(tmp_path),
     ])
     assert rc == code
+
+
+@pytest.mark.parametrize("command, flag", [("cwstar", "--out"), ("reconstruct", "--model")])
+def test_cli_rejects_a_flag_the_command_does_not_use(tmp_path, capsys, command, flag):
+    field = tmp_path / "linear.field"
+    field.write_text(field_to_text(build_sharp_minimizer(1, 1.4, "A", C_LJ, 0.0).field))
+    target = tmp_path / "target"
+    args = [command, flag, str(target)]
+    if command == "reconstruct":
+        args += ["--field", str(field), "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not target.exists()
+    assert not (tmp_path / "linear_deformation.csv").exists()
+
+
+@pytest.mark.parametrize("command, key", [("cwstar", "out"), ("reconstruct", "model")])
+def test_cli_config_rejects_a_key_the_command_does_not_use(tmp_path, capsys, command, key):
+    field = tmp_path / "linear.field"
+    field.write_text(field_to_text(build_sharp_minimizer(1, 1.4, "A", C_LJ, 0.0).field))
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{command}]\n{key} = {tmp_path / 'target'}\n", encoding="utf-8")
+    args = [command, "--config", str(config)]
+    if command == "reconstruct":
+        args += ["--field", str(field), "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "target").exists()
+    assert not (tmp_path / "linear_deformation.csv").exists()

@@ -9,12 +9,21 @@ from fracture1d.regularized import (
     Infeasible,
     OverlapWarning,
     SolveSettings,
+    _ARMIJO,
+    _BACKTRACK,
+    _FUNCTIONALS,
+    _STEP_INIT,
+    _STEP_MAX,
+    _STEP_MIN,
+    _descend,
     _e_energy,
+    _start_battery,
     _v_energy,
     eval_E_eps,
     eval_V_eps,
     grad_E_eps,
     grad_V_eps,
+    isotonic_regression,
     minimize,
     mm_lower_bound_H,
     mollify_sharp_candidate,
@@ -205,6 +214,98 @@ def _project_h_oracle(raw, lam):
     return best[1]
 
 
+def _isotonic_regression_oracle(y, weights=None):
+    """The PAV loop that pushes one element at a time: the reference for
+    bitwise equality of the faster loop."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    # Stack of pooled blocks on plain floats; numpy scalars are too slow here.
+    ylist = y.tolist()
+    wlist = w.tolist()
+    means = [0.0] * n
+    wsums = [0.0] * n
+    counts = [0] * n
+    top = -1
+    for i in range(n):
+        top += 1
+        means[top] = ylist[i]
+        wsums[top] = wlist[i]
+        counts[top] = 1
+        while top > 0 and means[top - 1] > means[top]:
+            total = wsums[top - 1] + wsums[top]
+            means[top - 1] = (
+                means[top - 1] * wsums[top - 1] + means[top] * wsums[top]
+            ) / total
+            wsums[top - 1] = total
+            counts[top - 1] += counts[top]
+            top -= 1
+    return np.repeat(means[: top + 1], counts[: top + 1])
+
+
+def _assert_pav_bitwise(y, weights=None):
+    mine = isotonic_regression(y, weights)
+    oracle = _isotonic_regression_oracle(y, weights)
+    assert mine.dtype == oracle.dtype
+    assert np.array_equal(mine, oracle)
+
+
+def test_isotonic_regression_is_bitwise_the_reference_loop_on_random_input():
+    rng = np.random.default_rng(41)
+    sizes = list(range(1, 40)) + [int(n) for n in rng.integers(40, 2001, 30)] + [2000]
+    for n in sizes:
+        y = np.cumsum(rng.standard_normal(n)) * rng.uniform(0.01, 3.0)
+        _assert_pav_bitwise(y)
+        _assert_pav_bitwise(rng.standard_normal(n), rng.uniform(0.1, 5.0, n))
+
+
+def test_isotonic_regression_is_bitwise_the_reference_loop_on_ties():
+    rng = np.random.default_rng(43)
+    for n in (2, 7, 64, 500, 2000):
+        _assert_pav_bitwise(np.round(rng.standard_normal(n), 1))
+        _assert_pav_bitwise(np.round(np.linspace(0, 1, n) + 0.3 * rng.standard_normal(n), 2))
+        _assert_pav_bitwise(np.full(n, 0.25))
+
+
+def test_isotonic_regression_is_bitwise_the_reference_loop_on_ramps():
+    for n in (1, 2, 3, 10, 1001, 2000):
+        ramp = np.linspace(0.0, 1.0, n)
+        _assert_pav_bitwise(ramp)
+        _assert_pav_bitwise(ramp[::-1])
+        _assert_pav_bitwise(np.concatenate([ramp, ramp[::-1], ramp]))
+
+
+def test_isotonic_regression_is_bitwise_the_reference_loop_with_pinned_ends():
+    rng = np.random.default_rng(47)
+    for n in (3, 10, 200, 1001, 2000):
+        y = np.linspace(0.0, 1.0, n) + 0.05 * np.cumsum(rng.standard_normal(n))
+        y[0], y[-1] = 0.0, 1.0
+        w = np.ones(n)
+        w[0] = w[-1] = 1e12
+        _assert_pav_bitwise(y, w)
+        _assert_pav_bitwise(y[::-1].copy(), w)
+
+
+@pytest.mark.parametrize("name, proj", [("H", project_H), ("h", project_h)])
+def test_projection_residual_is_monotone_in_the_step(name, proj):
+    """The premise of the stationarity certificate in ``_descend``: for a
+    feasible x, r(t) = ||x - P(x - t g)|| is nondecreasing and r(t) / t is
+    nonincreasing.  The slack is 1e-12 of the size of the projected point,
+    to allow for rounding in the projection."""
+    rng = np.random.default_rng(53)
+    ts = np.logspace(-6, 3, 91)
+    for _ in range(20):
+        n = int(rng.integers(5, 300))
+        lam = float(rng.uniform(0.5, 3.0))
+        raw = rng.uniform(0.0, 2.0, n) if name == "H" else np.sort(rng.uniform(0.0, 1.0, n))
+        x = proj(raw, lam).values
+        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 2.0)
+        r = np.array([np.linalg.norm(x - proj(x - t * g, lam).values) for t in ts])
+        slack = 1e-12 * (np.linalg.norm(x) + ts[1:] * np.linalg.norm(g))
+        assert np.all(r[1:] >= r[:-1] - slack)
+        assert np.all(r[1:] / ts[1:] <= r[:-1] / ts[:-1] + slack / ts[1:])
+
+
 def test_project_H_matches_enumeration_oracle():
     rng = np.random.default_rng(17)
     for _ in range(25):
@@ -382,6 +483,141 @@ def test_minimize_named_strategy_and_determinism():
 def test_minimize_rejects_unknown_functional():
     with pytest.raises(ValueError):
         minimize("Q", LJ, SolveSettings(lam=1.0, epsilon=0.1, grid_n=32))
+
+
+def test_minimize_with_a_field_start_builds_no_battery(monkeypatch):
+    import fracture1d.regularized as regularized
+
+    calls = {"mollify": 0, "c_wstar": 0}
+
+    def counting(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        regularized, "mollify_sharp_candidate",
+        counting("mollify", regularized.mollify_sharp_candidate),
+    )
+    monkeypatch.setattr(regularized, "c_wstar", counting("c_wstar", regularized.c_wstar))
+    settings = SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=200, max_iterations=40)
+    init = DiscreteField(1.5, np.linspace(0.0, 1.0, 201) ** 2)
+    result = minimize("V", LJ, settings, init=init)
+    assert calls == {"mollify": 0, "c_wstar": 0}
+    kind = _FUNCTIONALS["V"]
+    x, fx, iterations, converged, history = _descend(
+        init.values,
+        lambda v: kind.energy(v, settings, LJ),
+        lambda v: kind.gradient(v, settings, LJ),
+        lambda v: kind.project(v, settings.lam),
+        settings,
+    )
+    assert result.start_label == "user"
+    assert np.array_equal(result.minimizer.values, x)
+    assert (result.energy, result.iterations, result.converged) == (fx, iterations, converged)
+    assert result.energy_history == history
+    # A named start still comes from the battery.
+    minimize("V", LJ, settings, init="mollified-A4")
+    assert calls["mollify"] == 6 and calls["c_wstar"] == 1
+
+
+# ------------------------------------------------------------ descent
+
+
+def _descend_oracle(x0, energy, gradient, proj, settings):
+    """The descent loop that projects once more per iteration for the
+    stationarity test: the reference for bitwise equality of ``_descend``."""
+    x = proj(np.asarray(x0, dtype=float))
+    fx = energy(x)
+    gx = gradient(x)
+    history = [fx]
+    x_prev = g_prev = None
+    step = _STEP_INIT
+    converged = False
+    iterations = 0
+    stall_window = 30
+    for iterations in range(1, settings.max_iterations + 1):
+        pg = x - proj(x - gx)
+        if float(np.linalg.norm(pg)) <= settings.gtol * (1.0 + float(np.linalg.norm(gx))):
+            converged = True
+            break
+        if x_prev is not None:
+            s = x - x_prev
+            yv = gx - g_prev
+            sy = float(s @ yv)
+            if sy > 1e-30:
+                step = min(max(float(s @ s) / sy, _STEP_MIN), _STEP_MAX)
+            else:
+                step = min(2.0 * step, _STEP_MAX)
+        trial = step
+        accepted = False
+        for _ in range(40):
+            xn = proj(x - trial * gx)
+            fn = energy(xn)
+            if fn <= fx - _ARMIJO * float(gx @ (x - xn)):
+                accepted = True
+                break
+            trial *= _BACKTRACK
+            if trial < _STEP_MIN:
+                break
+        if not accepted:
+            break  # no admissible descent step left at this precision
+        x_prev, g_prev = x, gx
+        x, fx = xn, fn
+        gx = gradient(x)
+        history.append(fx)
+        if (
+            len(history) > stall_window
+            and history[-stall_window - 1] - fx <= 1e-12 * (1.0 + abs(fx))
+        ):
+            break  # energy has flatlined; the gradient test decides convergence
+    return x, fx, iterations, converged, history
+
+
+def _descents_of_the_battery(functional, settings):
+    """Run ``_descend`` and the reference from every start of the battery."""
+    kind = _FUNCTIONALS[functional]
+    energy = lambda v: kind.energy(v, settings, LJ)
+    gradient = lambda v: kind.gradient(v, settings, LJ)
+    proj = lambda v: kind.project(v, settings.lam)
+    for label, x0 in _start_battery(kind, LJ, settings):
+        mine = _descend(x0, energy, gradient, proj, settings)
+        oracle = _descend_oracle(x0, energy, gradient, proj, settings)
+        yield label, mine, oracle
+
+
+def _assert_descents_bitwise(mine, oracle):
+    x, fx, iterations, converged, history = mine
+    assert np.array_equal(x, oracle[0])
+    assert (fx, iterations, converged, history) == oracle[1:]
+
+
+def test_descend_is_bitwise_the_reference_when_it_converges():
+    # Criterion 5's compression of E on a small grid: every start
+    # converges, the random ones after tens of iterations, so the exact
+    # stationarity test behind the certificate fired.
+    settings = SolveSettings(lam=0.8, epsilon=0.05, grid_n=100)
+    runs = list(_descents_of_the_battery("E", settings))
+    for label, mine, oracle in runs:
+        _assert_descents_bitwise(mine, oracle)
+    assert all(mine[3] for _, mine, _ in runs)
+    assert max(mine[2] for _, mine, _ in runs) > 50
+
+
+@pytest.mark.parametrize(
+    "functional, settings",
+    [
+        ("E", SolveSettings(lam=1.4, epsilon=0.05, grid_n=300, max_iterations=60)),
+        ("V", SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=200, max_iterations=60)),
+    ],
+)
+def test_descend_is_bitwise_the_reference_at_the_iteration_cap(functional, settings):
+    runs = list(_descents_of_the_battery(functional, settings))
+    for label, mine, oracle in runs:
+        _assert_descents_bitwise(mine, oracle)
+    capped = [mine for _, mine, _ in runs if mine[2] == settings.max_iterations]
+    assert capped and not any(m[3] for m in capped)
 
 
 # ------------------------------------------------------------ lower bound
