@@ -259,9 +259,9 @@ def _settings(merged) -> SolveSettings:
 def _cmd_minimize(merged, config) -> int:
     _require(merged, "lambda", "epsilon")
     _require_positive(merged, "lambda", "epsilon", "grid", "gtol", "max_iterations")
+    settings = _settings(merged)
     model = _model(merged, config)
     out = _out_dir(merged)
-    settings = _settings(merged)
     result = run_minimize(merged["functional"], model, settings)
     stem = (
         f"minimize_{merged['functional']}_lambda{merged['lambda']:g}"
@@ -308,9 +308,9 @@ def _cmd_sweep(merged, config) -> int:
     _require(merged, "lambda", "epsilons")
     _require_positive(merged, "lambda", "grid", "gtol", "max_iterations")
     epsilons = [float(tok) for tok in merged["epsilons"].replace(",", " ").split()]
+    settings = _settings(merged)
     model = _model(merged, config)
     out = _out_dir(merged)
-    settings = _settings(merged)
     if merged["functional"] == "I":
         report = harness.gamma_sweep_I(
             merged["lambda"], model, epsilons, merged["grid"], settings

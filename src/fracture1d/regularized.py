@@ -122,6 +122,8 @@ class SolveSettings:
             raise ValueError("gtol must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if self.multistart < 0:
+            raise ValueError("multistart must be nonnegative")
 
 
 @dataclass
@@ -192,29 +194,30 @@ def _e_grad(values, lam, epsilon, model) -> np.ndarray:
     return g
 
 
-def _v_pieces(values, lam, epsilon, mu, model):
+def _v_geometry(values, lam):
+    """Cell width, forward-difference slopes, second differences and the
+    misfit at cell midpoints: what the V energy and gradient share."""
     n = values.size - 1
     d = lam / n
     slopes = np.diff(values) / d
     curv = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / d**2
+    misfit = (np.arange(n) + 0.5) * d - lam * 0.5 * (values[:-1] + values[1:])
+    return d, slopes, curv, misfit
+
+
+def _v_energy(values, lam, epsilon, mu, model) -> float:
+    d, slopes, curv, misfit = _v_geometry(values, lam)
     bend = 0.5 * epsilon**2 * d * float(curv @ curv)
     well = d * float(np.sum(model.wstar(slopes)))
     # Stiffness k = epsilon * mu keeps the misfit term at unit order
     # after rescaling by 1/epsilon.
-    mids_misfit = (np.arange(n) + 0.5) * d - lam * 0.5 * (values[:-1] + values[1:])
-    foundation = d * 0.5 * epsilon * mu * float((slopes * mids_misfit) @ mids_misfit)
-    return bend, well, foundation, slopes, curv, mids_misfit, d
-
-
-def _v_energy(values, lam, epsilon, mu, model) -> float:
-    bend, well, foundation, *_ = _v_pieces(values, lam, epsilon, mu, model)
+    foundation = d * 0.5 * epsilon * mu * float((slopes * misfit) @ misfit)
     return bend + well + foundation
 
 
 def _v_grad(values, lam, epsilon, mu, model) -> np.ndarray:
-    n = values.size - 1
-    _, _, _, slopes, curv, misfit, d = _v_pieces(values, lam, epsilon, mu, model)
-    curv_full = np.zeros(n + 1)
+    d, slopes, curv, misfit = _v_geometry(values, lam)
+    curv_full = np.zeros(values.size)
     curv_full[1:-1] = curv
     g = -2.0 * curv_full
     g[:-1] += curv_full[1:]
@@ -263,32 +266,30 @@ def project_H(values: Sequence[float], lam: float) -> DiscreteField:
     return DiscreteField(lam, np.maximum(0.0, raw - theta * a))
 
 
-def isotonic_regression(y: Sequence[float], weights: Sequence[float] | None = None) -> np.ndarray:
-    """Weighted least-squares fit under a nondecreasing constraint (PAV)."""
+def isotonic_regression(y: Sequence[float]) -> np.ndarray:
+    """Least-squares fit under a nondecreasing constraint (PAV)."""
     y = np.asarray(y, dtype=float)
     n = y.size
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    drops = np.flatnonzero(y[:-1] > y[1:])
+    if drops.size == 0:
+        return y.copy()
     # Stack of pooled blocks on plain floats; numpy scalars are too slow here.
+    # A block's size is its weight.
     ylist = y.tolist()
-    wlist = w.tolist()
     # run_end[k]: last index of the nondecreasing run holding k, found by the
     # same comparison the merge test makes.
-    drops = np.flatnonzero(y[:-1] > y[1:])
     run_end = np.append(drops, n - 1)[np.searchsorted(drops, np.arange(n))].tolist()
-    means, wsums, counts = [], [], []
+    means, counts = [], []
     i = 0
     while i < n:
-        m, wm, c = ylist[i], wlist[i], 1
+        m, c = ylist[i], 1
         merged = False
         while means and means[-1] > m:
-            w_prev = wsums.pop()
-            total = w_prev + wm
-            m = (means.pop() * w_prev + m * wm) / total
-            wm = total
-            c += counts.pop()
+            c_prev = counts.pop()
+            m = (means.pop() * c_prev + m * c) / (c_prev + c)
+            c += c_prev
             merged = True
         means.append(m)
-        wsums.append(wm)
         counts.append(c)
         i += 1
         if not merged:
@@ -296,7 +297,6 @@ def isotonic_regression(y: Sequence[float], weights: Sequence[float] | None = No
             # singletons that pool with nothing: take it in one step.
             end = run_end[i - 1] + 1
             means += ylist[i:end]
-            wsums += wlist[i:end]
             counts += [1] * (end - i)
             i = end
     return np.repeat(means, counts)
@@ -305,19 +305,15 @@ def isotonic_regression(y: Sequence[float], weights: Sequence[float] | None = No
 def project_h(values: Sequence[float], lam: float) -> DiscreteField:
     """Projection onto {nondecreasing, h(0) = 0, h(lam) = 1}.
 
-    PAV with dominating endpoint weights pins the boundary values; the
-    exact reset plus a clip to [0, 1] removes the residual of the
-    finite pinning weight.
+    With both ends fixed, the projection is the interior's isotonic fit
+    clipped to [0, 1].  It is the limit of PAV over all nodes with end
+    weights growing without bound: an interior block pooled into a fixed
+    end takes that end's value, and clipping gives every block that would
+    have pooled into it the same value.
     """
-    raw = np.asarray(values, dtype=float).copy()
-    raw[0], raw[-1] = 0.0, 1.0
-    if np.all(np.diff(raw) >= 0.0):
-        out = np.clip(raw, 0.0, 1.0)  # already monotone: pin and clamp only
-    else:
-        w = np.ones_like(raw)
-        w[0] = w[-1] = 1e12
-        out = np.clip(isotonic_regression(raw, w), 0.0, 1.0)
-        out[0], out[-1] = 0.0, 1.0
+    out = np.asarray(values, dtype=float).copy()
+    out[0], out[-1] = 0.0, 1.0
+    out[1:-1] = np.clip(isotonic_regression(out[1:-1]), 0.0, 1.0)
     return DiscreteField(lam, out)
 
 

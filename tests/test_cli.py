@@ -336,3 +336,15 @@ def test_cli_config_rejects_a_key_the_command_does_not_use(tmp_path, capsys, com
     assert key in capsys.readouterr().err
     assert not (tmp_path / "target").exists()
     assert not (tmp_path / "linear_deformation.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, ladder",
+    [("minimize", ["--functional", "E", "--epsilon", "0.1"]), ("sweep", ["--epsilons", "0.1"])],
+)
+def test_cli_rejects_a_negative_multistart(tmp_path, capsys, command, ladder):
+    out = tmp_path / "out"
+    args = [command, "--lambda", "0.8", *ladder, "--grid", "32", "--multistart", "-3"]
+    assert main(args + ["--out", str(out)]) == 2
+    assert "multistart" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -137,6 +139,26 @@ def test_grad_V_matches_finite_differences(lam, mu, eps):
         assert rel <= 1e-6
 
 
+def test_grad_V_evaluates_only_the_density_derivative():
+    calls = {"wstar": 0, "wstar_prime": 0}
+
+    def counting(name, inner):
+        def wrapper(h):
+            calls[name] += 1
+            return inner(h)
+        return wrapper
+
+    model = dataclasses.replace(
+        LJ,
+        wstar=counting("wstar", LJ.wstar),
+        wstar_prime=counting("wstar_prime", LJ.wstar_prime),
+    )
+    field = project_h(np.linspace(0.0, 1.0, 41) ** 2, 1.5)
+    g = grad_V_eps(field, 0.05, 200.0, model)
+    assert calls == {"wstar": 0, "wstar_prime": 1}
+    assert np.array_equal(g, grad_V_eps(field, 0.05, 200.0, LJ))
+
+
 def test_grad_E_constant_field_pattern():
     lam, eps, n = 1.1, 0.07, 32
     field = DiscreteField(lam, np.full(n + 1, 0.6))
@@ -243,9 +265,67 @@ def _isotonic_regression_oracle(y, weights=None):
     return np.repeat(means[: top + 1], counts[: top + 1])
 
 
-def _assert_pav_bitwise(y, weights=None):
-    mine = isotonic_regression(y, weights)
-    oracle = _isotonic_regression_oracle(y, weights)
+def _pinned_isotonic_regression_oracle(y: Sequence[float], weights: Sequence[float] | None = None) -> np.ndarray:
+    """Weighted least-squares fit under a nondecreasing constraint (PAV)."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    # Stack of pooled blocks on plain floats; numpy scalars are too slow here.
+    ylist = y.tolist()
+    wlist = w.tolist()
+    # run_end[k]: last index of the nondecreasing run holding k, found by the
+    # same comparison the merge test makes.
+    drops = np.flatnonzero(y[:-1] > y[1:])
+    run_end = np.append(drops, n - 1)[np.searchsorted(drops, np.arange(n))].tolist()
+    means, wsums, counts = [], [], []
+    i = 0
+    while i < n:
+        m, wm, c = ylist[i], wlist[i], 1
+        merged = False
+        while means and means[-1] > m:
+            w_prev = wsums.pop()
+            total = w_prev + wm
+            m = (means.pop() * w_prev + m * wm) / total
+            wm = total
+            c += counts.pop()
+            merged = True
+        means.append(m)
+        wsums.append(wm)
+        counts.append(c)
+        i += 1
+        if not merged:
+            # Nothing was pooled, so the rest of the run pushes as
+            # singletons that pool with nothing: take it in one step.
+            end = run_end[i - 1] + 1
+            means += ylist[i:end]
+            wsums += wlist[i:end]
+            counts += [1] * (end - i)
+            i = end
+    return np.repeat(means, counts)
+
+
+def _pinned_project_h_oracle(values: Sequence[float], lam: float) -> DiscreteField:
+    """Projection onto {nondecreasing, h(0) = 0, h(lam) = 1}.
+
+    PAV with dominating endpoint weights pins the boundary values; the
+    exact reset plus a clip to [0, 1] removes the residual of the
+    finite pinning weight.
+    """
+    raw = np.asarray(values, dtype=float).copy()
+    raw[0], raw[-1] = 0.0, 1.0
+    if np.all(np.diff(raw) >= 0.0):
+        out = np.clip(raw, 0.0, 1.0)  # already monotone: pin and clamp only
+    else:
+        w = np.ones_like(raw)
+        w[0] = w[-1] = 1e12
+        out = np.clip(_pinned_isotonic_regression_oracle(raw, w), 0.0, 1.0)
+        out[0], out[-1] = 0.0, 1.0
+    return DiscreteField(lam, out)
+
+
+def _assert_pav_bitwise(y):
+    mine = isotonic_regression(y)
+    oracle = _isotonic_regression_oracle(y)
     assert mine.dtype == oracle.dtype
     assert np.array_equal(mine, oracle)
 
@@ -256,7 +336,6 @@ def test_isotonic_regression_is_bitwise_the_reference_loop_on_random_input():
     for n in sizes:
         y = np.cumsum(rng.standard_normal(n)) * rng.uniform(0.01, 3.0)
         _assert_pav_bitwise(y)
-        _assert_pav_bitwise(rng.standard_normal(n), rng.uniform(0.1, 5.0, n))
 
 
 def test_isotonic_regression_is_bitwise_the_reference_loop_on_ties():
@@ -275,15 +354,34 @@ def test_isotonic_regression_is_bitwise_the_reference_loop_on_ramps():
         _assert_pav_bitwise(np.concatenate([ramp, ramp[::-1], ramp]))
 
 
-def test_isotonic_regression_is_bitwise_the_reference_loop_with_pinned_ends():
-    rng = np.random.default_rng(47)
-    for n in (3, 10, 200, 1001, 2000):
-        y = np.linspace(0.0, 1.0, n) + 0.05 * np.cumsum(rng.standard_normal(n))
-        y[0], y[-1] = 0.0, 1.0
-        w = np.ones(n)
-        w[0] = w[-1] = 1e12
-        _assert_pav_bitwise(y, w)
-        _assert_pav_bitwise(y[::-1].copy(), w)
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 1000])
+def test_isotonic_regression_of_a_nondecreasing_input_is_a_copy(n):
+    y = np.sort(np.round(np.random.default_rng(59).standard_normal(n), 1))
+    out = isotonic_regression(y)
+    assert out is not y
+    assert out.dtype == np.float64
+    assert np.array_equal(out, y)
+
+
+def test_project_h_is_bitwise_the_pinned_end_projection():
+    """The clipped interior fit against the projection it replaces: PAV
+    over all nodes with 1e12 end weights, clipped and reset."""
+    rng = np.random.default_rng(61)
+    sizes = list(range(3, 40)) + [int(n) for n in rng.integers(40, 2001, 20)] + [2000]
+    for n in sizes:
+        ramp = np.linspace(0.0, 1.0, n)
+        inputs = [
+            ramp + 0.05 * np.cumsum(rng.standard_normal(n)),
+            np.round(ramp + 0.3 * rng.standard_normal(n), 1),
+            ramp[::-1].copy(),
+            rng.uniform(-1.0, 3.0) * ramp + rng.uniform(-0.5, 0.5),
+            np.sort(rng.uniform(0.0, 1.0, n)),
+            ramp + 1e-7 * rng.standard_normal(n),
+        ]
+        for raw in inputs:
+            mine = project_h(raw, 1.3).values
+            oracle = _pinned_project_h_oracle(raw, 1.3).values
+            assert np.array_equal(mine, oracle)
 
 
 @pytest.mark.parametrize("name, proj", [("H", project_H), ("h", project_h)])
@@ -649,6 +747,9 @@ def test_settings_validation():
         SolveSettings(lam=1.0, epsilon=0.1, grid_n=8)
     with pytest.raises(ValueError):
         SolveSettings(lam=1.0, epsilon=0.1, mu=-5.0)
+    with pytest.raises(ValueError, match="multistart"):
+        SolveSettings(lam=1.0, epsilon=0.1, multistart=-3)
+    assert SolveSettings(lam=1.0, epsilon=0.1, multistart=0).multistart == 0
 
 
 def test_discrete_field_validation():
