@@ -5,7 +5,11 @@ reconstruct.  Every flag can come from a config file (INI sections
 named after the commands, plus an optional [model] section defining a
 custom polynomial density); command-line values win.  Exit codes:
 0 success, 2 domain or configuration error, 3 non-convergence under
---strict.
+--strict.  Each value's range is checked by the library function that
+owns it, so a rejected value (NaN and infinity included) exits 2 before
+anything is written.  ``--out`` is created only when a command has
+output to write, after its computation, so an ``--out`` that cannot be
+created fails only then.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .material import (
     surface_constant_quadrature,
 )
 from .regularized import SolveSettings, minimize as run_minimize
-from .sharp import DomainError, build_sharp_minimizer, crack_count, continuous_crack_estimate, reconstruct_deformation, v_n
+from .sharp import build_sharp_minimizer, crack_count, continuous_crack_estimate, reconstruct_deformation, v_n
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,7 +50,7 @@ _WRITERS = ("sharp", "scan", "reconstruct") + _SOLVES  # commands with output fi
 class _Option:
     """One setting of the listed commands, read from ``--key-with-dashes``
     or ``key`` in the command's config section.  A ``default`` of None
-    means none."""
+    makes the setting required."""
 
     key: str
     type: type
@@ -166,20 +170,10 @@ def _gather(args, config) -> dict:
         if value is None and config.has_option(section, key):
             value = _config_value(option, section, config.get(section, key))
         merged[key] = option.default if value is None else value
-    return merged
-
-
-def _require(merged: dict, *keys) -> None:
-    missing = [k for k in keys if merged.get(k) is None]
+    missing = [key for key, value in merged.items() if value is None]
     if missing:
         raise ConfigError(f"missing required settings: {sorted(missing)}")
-
-
-def _require_positive(merged: dict, *keys) -> None:
-    for k in keys:
-        v = merged.get(k)
-        if v is not None and v <= 0:
-            raise ConfigError(f"setting {k!r} must be positive, got {v!r}")
+    return merged
 
 
 def _out_dir(merged: dict) -> Path:
@@ -200,7 +194,6 @@ def _model(merged: dict, config) -> MaterialModel:
 
 
 def _cmd_cwstar(merged, config) -> int:
-    _require_positive(merged, "abs_tol")
     model = _model(merged, config)
     value, err = surface_constant_quadrature(model, merged["abs_tol"])
     print(f"{value:.12g} +/- {err:.3g}")
@@ -208,26 +201,21 @@ def _cmd_cwstar(merged, config) -> int:
 
 
 def _cmd_sharp(merged, config) -> int:
-    _require(merged, "lambda", "mu")
     lam, mu = merged["lambda"], merged["mu"]
-    if lam <= 1.0:
-        raise DomainError("sharp configurations require lambda > 1")
-    if mu < 0.0:
-        raise DomainError("mu must be nonnegative")
     model = _model(merged, config)
-    out = _out_dir(merged)
     cw = c_wstar(model)
     n = crack_count(cw, mu, lam)
     x = continuous_crack_estimate(cw, mu, lam)
+    minimizers = {v: build_sharp_minimizer(n, lam, v, cw, mu) for v in ("A", "B")}
+    graphs = {v: reconstruct_deformation(m.field) for v, m in minimizers.items()}
+    out = _out_dir(merged)
     stem = f"sharp_lambda{lam:g}_mu{mu:g}"
-    cracks = {}
-    for variant in ("A", "B"):
-        minimizer = build_sharp_minimizer(n, lam, variant, cw, mu)
+    for variant, minimizer in minimizers.items():
         serialize.write_field(out / f"{stem}_variant{variant}.field", minimizer.field)
-        cracks[variant] = minimizer.cracks
-        graph = reconstruct_deformation(minimizer.field)
+        graph = graphs[variant]
         _write(out / f"{stem}_deformation_{variant}.csv", serialize.deformation_csv(graph))
         _write(out / f"{stem}_deformation_{variant}.json", serialize.deformation_json(graph))
+    cracks = {v: m.cracks for v, m in minimizers.items()}
     _write(out / f"{stem}_cracks.csv", serialize.cracks_csv(cracks))
     summary = {
         "lambda": lam,
@@ -246,7 +234,7 @@ def _cmd_sharp(merged, config) -> int:
 def _settings(merged) -> SolveSettings:
     return SolveSettings(
         lam=merged["lambda"],
-        epsilon=merged.get("epsilon") or 1.0,  # sweeps set epsilon per row
+        epsilon=merged.get("epsilon", 1.0),  # sweeps set epsilon per row
         mu=merged["mu"],
         grid_n=merged["grid"],
         max_iterations=merged["max_iterations"],
@@ -257,12 +245,10 @@ def _settings(merged) -> SolveSettings:
 
 
 def _cmd_minimize(merged, config) -> int:
-    _require(merged, "lambda", "epsilon")
-    _require_positive(merged, "lambda", "epsilon", "grid", "gtol", "max_iterations")
     settings = _settings(merged)
     model = _model(merged, config)
-    out = _out_dir(merged)
     result = run_minimize(merged["functional"], model, settings)
+    out = _out_dir(merged)
     stem = (
         f"minimize_{merged['functional']}_lambda{merged['lambda']:g}"
         f"_mu{merged['mu']:g}_eps{merged['epsilon']:g}"
@@ -288,15 +274,11 @@ def _cmd_minimize(merged, config) -> int:
 
 
 def _cmd_scan(merged, config) -> int:
-    _require(merged, "mu", "lambda_min", "lambda_max", "step")
-    _require_positive(merged, "step")
-    if merged["lambda_min"] < 1.0 or merged["lambda_max"] <= merged["lambda_min"]:
-        raise ConfigError("scan needs 1 <= lambda-min < lambda-max")
     model = _model(merged, config)
-    out = _out_dir(merged)
     report = harness.crack_scan(
         (merged["lambda_min"], merged["lambda_max"]), merged["step"], merged["mu"], model
     )
+    out = _out_dir(merged)
     stem = f"scan_mu{merged['mu']:g}"
     _write(out / f"{stem}.csv", serialize.scan_csv(report))
     _write(out / f"{stem}.json", serialize.scan_json(report))
@@ -305,12 +287,9 @@ def _cmd_scan(merged, config) -> int:
 
 
 def _cmd_sweep(merged, config) -> int:
-    _require(merged, "lambda", "epsilons")
-    _require_positive(merged, "lambda", "grid", "gtol", "max_iterations")
     epsilons = [float(tok) for tok in merged["epsilons"].replace(",", " ").split()]
     settings = _settings(merged)
     model = _model(merged, config)
-    out = _out_dir(merged)
     if merged["functional"] == "I":
         report = harness.gamma_sweep_I(
             merged["lambda"], model, epsilons, merged["grid"], settings
@@ -319,6 +298,7 @@ def _cmd_sweep(merged, config) -> int:
         report = harness.gamma_sweep_V(
             merged["lambda"], merged["mu"], model, epsilons, merged["grid"], settings
         )
+    out = _out_dir(merged)
     stem = f"sweep_{merged['functional']}_lambda{merged['lambda']:g}_mu{merged['mu']:g}"
     _write(out / f"{stem}.csv", serialize.sweep_csv(report))
     _write(out / f"{stem}.json", serialize.sweep_json(report))
@@ -330,7 +310,6 @@ def _cmd_sweep(merged, config) -> int:
 
 
 def _cmd_reconstruct(merged, config) -> int:
-    _require(merged, "field")
     path = Path(merged["field"])
     if not path.is_file():
         raise ConfigError(f"field file {path} not found")
@@ -362,7 +341,7 @@ def main(argv=None) -> int:
         config = _read_config(getattr(args, "config", None))
         merged = _gather(args, config)
         return _COMMANDS[args.command][1](merged, config)
-    except (NonConvergence, ConfigError, DomainError, ValueError) as exc:
+    except (NonConvergence, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

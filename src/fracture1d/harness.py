@@ -101,8 +101,8 @@ class ScanReport:
 
 def _sorted_epsilons(epsilons: Sequence[float]) -> list[float]:
     eps = [float(e) for e in epsilons]
-    if not eps or any(e <= 0.0 for e in eps):
-        raise ValueError("need a nonempty list of positive epsilons")
+    if not eps or not all(0.0 < e < math.inf for e in eps):
+        raise ValueError(f"need a nonempty list of positive finite epsilons, got {eps}")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must decrease strictly")
     return eps
@@ -259,10 +259,12 @@ def crack_scan(
 ) -> ScanReport:
     """Tabulate the crack-count law on an open interval of loads."""
     lo, hi = lambda_range
-    if not (hi > lo >= 1.0):
-        raise ValueError("lambda range must satisfy 1 <= lo < hi")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 1.0 <= lo < hi < math.inf:
+        raise ValueError(f"lambda range must satisfy 1 <= lo < hi < inf, got {lambda_range}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be nonnegative and finite, got {mu!r}")
     cw = c_wstar(model)
     rows = []
     count = int(round((hi - lo) / step))

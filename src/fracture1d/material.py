@@ -256,8 +256,8 @@ def adaptive_quadrature(
     convergence locally.  Returns (value, error estimate).  Raises
     NonConvergence when max_intervals panels do not reach abs_tol.
     """
-    if abs_tol <= 0.0:
-        raise ValueError("abs_tol must be positive")
+    if not 0.0 < abs_tol < math.inf:
+        raise ValueError(f"abs_tol must be positive and finite, got {abs_tol!r}")
     if a == b:
         return 0.0, 0.0
     value, err = _gk15(f, a, b)

@@ -110,16 +110,16 @@ class SolveSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError("lam must be positive")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.mu < 0.0:
-            raise ValueError("mu must be nonnegative")
+        if not 0.0 < self.lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam!r}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if not 0.0 <= self.mu < np.inf:
+            raise ValueError(f"mu must be nonnegative and finite, got {self.mu!r}")
         if self.grid_n < 16:
             raise ValueError("grid_n must be at least 16")
-        if self.gtol <= 0.0:
-            raise ValueError("gtol must be positive")
+        if not 0.0 < self.gtol < np.inf:
+            raise ValueError(f"gtol must be positive and finite, got {self.gtol!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.multistart < 0:

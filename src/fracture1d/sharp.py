@@ -283,10 +283,10 @@ def v_n(n: int, c_wstar: float, mu: float, lam: float) -> float:
 
 def continuous_crack_estimate(c_wstar: float, mu: float, lam: float) -> float:
     """Stationary point of n -> v_n over the reals: (mu(lam-1)^2/(3c))^(1/3)."""
-    if not lam > 1.0:
-        raise DomainError("crack counting requires lambda > 1")
-    if mu < 0.0 or not c_wstar > 0.0:
-        raise DomainError("need mu >= 0 and c_wstar > 0")
+    if not 1.0 < lam < math.inf:
+        raise DomainError(f"crack counting requires 1 < lambda < inf, got {lam!r}")
+    if not (0.0 <= mu < math.inf and 0.0 < c_wstar < math.inf):
+        raise DomainError(f"need finite mu >= 0 and c_wstar > 0, got {mu!r} and {c_wstar!r}")
     return (mu * (lam - 1.0) ** 2 / (3.0 * c_wstar)) ** (1.0 / 3.0)
 
 

@@ -111,7 +111,9 @@ def test_cli_sharp_worked_example(tmp_path, capsys):
 
 
 def test_cli_sharp_rejects_compression(tmp_path):
-    assert main(["sharp", "--lambda", "0.9", "--mu", "200", "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(["sharp", "--lambda", "0.9", "--mu", "200", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_sharp_near_critical_single_crack(tmp_path):
@@ -148,11 +150,13 @@ def test_cli_scan_staircase_and_determinism(tmp_path):
 
 
 def test_cli_scan_rejects_bad_range(tmp_path):
+    out = tmp_path / "out"
     rc = main([
         "scan", "--mu", "200", "--lambda-min", "2", "--lambda-max", "1",
-        "--step", "0.01", "--out", str(tmp_path),
+        "--step", "0.01", "--out", str(out),
     ])
     assert rc == 2
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ minimize
@@ -194,11 +198,13 @@ def test_cli_minimize_strict_flags_nonconvergence(tmp_path):
 
 
 def test_cli_minimize_rejects_negative_epsilon(tmp_path):
+    out = tmp_path / "out"
     rc = main([
         "minimize", "--functional", "E", "--lambda", "1.4",
-        "--epsilon", "-0.05", "--grid", "600", "--out", str(tmp_path),
+        "--epsilon", "-0.05", "--grid", "600", "--out", str(out),
     ])
     assert rc == 2
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ sweep
@@ -219,11 +225,13 @@ def test_cli_sweep_small_ladder(tmp_path):
 
 
 def test_cli_sweep_rejects_increasing_ladder(tmp_path):
+    out = tmp_path / "out"
     rc = main([
         "sweep", "--functional", "I", "--lambda", "1", "--epsilons", "0.05,0.1",
-        "--grid", "128", "--out", str(tmp_path),
+        "--grid", "128", "--out", str(out),
     ])
     assert rc == 2
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ reconstruct
@@ -338,13 +346,54 @@ def test_cli_config_rejects_a_key_the_command_does_not_use(tmp_path, capsys, com
     assert not (tmp_path / "linear_deformation.csv").exists()
 
 
+_SHARP = "sharp --lambda 1.5 --mu 200"
+_SCAN = "scan --mu 200 --lambda-min 1 --lambda-max 2 --step 0.01"
+_MINIMIZE = "minimize --functional E --lambda 1.4 --epsilon 0.1 --grid 32 --max-iterations 5"
+_SWEEP = "sweep --functional I --lambda 0.8 --epsilons 0.1 --grid 32 --max-iterations 5"
+
+
+# (command line, a word the error names); a later flag overrides an
+# earlier one, so each row is a valid command with one value spoiled.
 @pytest.mark.parametrize(
-    "command, ladder",
-    [("minimize", ["--functional", "E", "--epsilon", "0.1"]), ("sweep", ["--epsilons", "0.1"])],
+    "line, word",
+    [
+        pytest.param(f"{_SHARP} --lambda inf", "lambda", id="sharp-lambda-inf"),
+        pytest.param(f"{_SHARP} --lambda nan", "lambda", id="sharp-lambda-nan"),
+        pytest.param(f"{_SHARP} --mu nan", "mu", id="sharp-mu-nan"),
+        pytest.param("sharp --mu 200", "missing required settings", id="sharp-missing"),
+        pytest.param(
+            "minimize --functional V --lambda inf --mu 200 --epsilon 0.05", "lam",
+            id="minimize-V-lambda-inf",
+        ),
+        pytest.param(f"{_MINIMIZE} --lambda nan", "lam", id="minimize-lambda-nan"),
+        pytest.param(f"{_MINIMIZE} --epsilon nan", "epsilon", id="minimize-epsilon-nan"),
+        pytest.param(f"{_MINIMIZE} --epsilon 0", "epsilon", id="minimize-epsilon-0"),
+        pytest.param(f"{_MINIMIZE} --mu nan", "mu", id="minimize-mu-nan"),
+        pytest.param(f"{_MINIMIZE} --gtol nan", "gtol", id="minimize-gtol-nan"),
+        pytest.param(f"{_MINIMIZE} --multistart -3", "multistart", id="minimize-multistart"),
+        pytest.param("minimize --lambda 1.4", "missing required settings", id="minimize-missing"),
+        pytest.param(f"{_SCAN} --lambda-max inf", "lambda range", id="scan-lambda-max-inf"),
+        pytest.param(f"{_SCAN} --mu nan", "mu", id="scan-mu-nan"),
+        pytest.param(f"{_SCAN} --step nan", "step", id="scan-step-nan"),
+        # An empty range: no row would reach the per-row check of mu.
+        pytest.param(f"{_SCAN} --lambda-max 1.005 --mu -5", "mu", id="scan-mu-negative-no-rows"),
+        pytest.param("scan --mu 200", "missing required settings", id="scan-missing"),
+        pytest.param(f"{_SWEEP} --epsilons 0.1,nan", "epsilons", id="sweep-epsilons-nan"),
+        pytest.param(f"{_SWEEP} --epsilons 0.05,0.1", "epsilons", id="sweep-epsilons-increasing"),
+        pytest.param(f"{_SWEEP} --multistart -3", "multistart", id="sweep-multistart"),
+        pytest.param("sweep --lambda 1", "missing required settings", id="sweep-missing"),
+        pytest.param("reconstruct", "missing required settings", id="reconstruct-missing"),
+        pytest.param("cwstar --abs-tol inf", "abs_tol", id="cwstar-abs-tol-inf"),
+        pytest.param("cwstar --abs-tol nan", "abs_tol", id="cwstar-abs-tol-nan"),
+    ],
 )
-def test_cli_rejects_a_negative_multistart(tmp_path, capsys, command, ladder):
+def test_cli_rejects_a_bad_value_before_writing(tmp_path, capsys, line, word):
     out = tmp_path / "out"
-    args = [command, "--lambda", "0.8", *ladder, "--grid", "32", "--multistart", "-3"]
-    assert main(args + ["--out", str(out)]) == 2
-    assert "multistart" in capsys.readouterr().err
+    args = line.split()
+    if args[0] != "cwstar":  # the one command without --out
+        args += ["--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert word in err
     assert not out.exists()

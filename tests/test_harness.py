@@ -60,6 +60,13 @@ def test_crack_scan_rejects_bad_ranges():
         crack_scan((0.5, 2.0), 0.01, 200.0, LJ)
     with pytest.raises(ValueError):
         crack_scan((1.0, 2.0), -0.1, 200.0, LJ)
+    with pytest.raises(ValueError, match="step"):
+        crack_scan((1.0, 2.0), math.nan, 200.0, LJ)
+    with pytest.raises(ValueError, match="lambda range"):
+        crack_scan((1.0, math.inf), 0.01, 200.0, LJ)
+    # The range holds no row, so only the up-front check can see mu.
+    with pytest.raises(ValueError, match="mu"):
+        crack_scan((1.0, 1.005), 0.01, -5.0, LJ)
 
 
 def test_sweep_report_validates_epsilon_order():

@@ -7,6 +7,7 @@ from fracture1d.material import (
     DirectDensityView,
     MaterialModel,
     NonConvergence,
+    adaptive_quadrature,
     builtin_lj,
     c_wstar,
     check_growth,
@@ -104,6 +105,19 @@ def test_quadrature_nonconvergence_at_absurd_tolerance():
     with pytest.raises(NonConvergence) as info:
         c_wstar(builtin_lj(), 1e-30)
     assert info.value.value == pytest.approx(C_LJ, abs=1e-10)
+
+
+@pytest.mark.parametrize("abs_tol", [math.nan, math.inf])
+def test_adaptive_quadrature_rejects_a_non_finite_tolerance(abs_tol):
+    calls = []
+
+    def integrand(t):
+        calls.append(t)
+        return np.ones_like(t)
+
+    with pytest.raises(ValueError, match="abs_tol"):
+        adaptive_quadrature(integrand, 0.0, 1.0, abs_tol)
+    assert calls == []
 
 
 def test_direct_view_matches_lennard_jones_closed_form():

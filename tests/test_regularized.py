@@ -749,6 +749,10 @@ def test_settings_validation():
         SolveSettings(lam=1.0, epsilon=0.1, mu=-5.0)
     with pytest.raises(ValueError, match="multistart"):
         SolveSettings(lam=1.0, epsilon=0.1, multistart=-3)
+    for bad in (math.nan, math.inf, -math.inf):
+        for key in ("lam", "epsilon", "mu", "gtol"):
+            with pytest.raises(ValueError, match=key):
+                SolveSettings(**{"lam": 1.0, "epsilon": 0.1, key: bad})
     assert SolveSettings(lam=1.0, epsilon=0.1, multistart=0).multistart == 0
 
 

@@ -167,6 +167,11 @@ def test_crack_count_zero_stiffness():
 def test_crack_count_rejects_compression():
     with pytest.raises(DomainError):
         crack_count(C_LJ, 200.0, 1.0)
+    for bad in (math.nan, math.inf):
+        for mu, lam in ((200.0, bad), (bad, 1.5)):
+            for count in (crack_count, continuous_crack_estimate):
+                with pytest.raises(DomainError):
+                    count(C_LJ, mu, lam)
 
 
 def test_crack_count_staircase_in_lambda():
