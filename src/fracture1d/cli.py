@@ -7,9 +7,9 @@ custom polynomial density); command-line values win.  Exit codes:
 0 success, 2 domain or configuration error, 3 non-convergence under
 --strict.  Each value's range is checked by the library function that
 owns it, so a rejected value (NaN and infinity included) exits 2 before
-anything is written.  ``--out`` is created only when a command has
-output to write, after its computation, so an ``--out`` that cannot be
-created fails only then.
+anything is written.  An ``--out`` that is, or lies under, an existing
+file exits 2 before any computation; otherwise ``--out`` is created only
+when a command has output to write, after its computation.
 """
 
 from __future__ import annotations
@@ -173,6 +173,12 @@ def _gather(args, config) -> dict:
     missing = [key for key, value in merged.items() if value is None]
     if missing:
         raise ConfigError(f"missing required settings: {sorted(missing)}")
+    if "out" in merged:
+        out = Path(merged["out"])
+        # The first existing path up the tree is where mkdir would fail.
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"out {str(out)!r}: {str(existing)!r} is not a directory")
     return merged
 
 

@@ -265,9 +265,12 @@ def crack_scan(
         raise ValueError(f"step must be positive and finite, got {step!r}")
     if not 0.0 <= mu < math.inf:
         raise ValueError(f"mu must be nonnegative and finite, got {mu!r}")
+    steps = (hi - lo) / step
+    if not steps < math.inf:
+        raise ValueError(f"step {step!r} is too small to count the rows of {lambda_range}")
     cw = c_wstar(model)
     rows = []
-    count = int(round((hi - lo) / step))
+    count = int(round(steps))
     previous = 0
     for i in range(1, count + 1):
         lam = lo + i * step

@@ -2,9 +2,11 @@
 
 Fields live on a uniform node grid.  Both functionals are minimized by
 projected gradient descent with Barzilai-Borwein steps safeguarded by
-backtracking; feasibility is maintained by exact projections (weighted
+backtracking along the projected direction, one projection per
+iteration; feasibility is maintained by exact projections (weighted
 clipped-affine shift for the mass constraint, pool-adjacent-violators
-for monotonicity), so energies are meaningful at every iterate.
+for monotonicity) and convex combinations of feasible points, so
+energies are meaningful at every iterate.
 
 The foundation-coupled energy is the unrescaled one with interaction
 stiffness k = epsilon * mu; dividing by epsilon gives the quantity that
@@ -527,8 +529,7 @@ def _descend(
                 step = min(max(float(s @ s) / sy, _STEP_MIN), _STEP_MAX)
             else:
                 step = min(2.0 * step, _STEP_MAX)
-        trial = step
-        xn = proj(x - trial * gx)
+        xn = proj(x - step * gx)
         # Stationarity test ||x - P(x - g)|| <= tol.  For a projection onto
         # a convex set, ||x - P(x - t g)|| is nondecreasing in t and
         # ||x - P(x - t g)|| / t is nonincreasing (Calamai & More, Math.
@@ -537,20 +538,26 @@ def _descend(
         # when that bound is within a factor 2 of tol, a margin for
         # rounding in the projections, is the exact test worth a projection.
         tol = settings.gtol * (1.0 + float(np.linalg.norm(gx)))
-        if float(np.linalg.norm(x - xn)) / max(trial, 1.0) <= 2.0 * tol:
+        if float(np.linalg.norm(x - xn)) / max(step, 1.0) <= 2.0 * tol:
             if float(np.linalg.norm(x - proj(x - gx))) <= tol:
                 converged = True
                 break
+        # Backtrack along the projected direction d = P(x - step g) - x
+        # (Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000): x + t d is
+        # feasible for t in (0, 1] by convexity, so no trial but the first
+        # needs a projection.
+        d = xn - x
+        t = 1.0
         accepted = False
         for attempt in range(40):
             if attempt:
-                xn = proj(x - trial * gx)
+                xn = x + t * d
             fn = energy(xn)
             if fn <= fx - _ARMIJO * float(gx @ (x - xn)):
                 accepted = True
                 break
-            trial *= _BACKTRACK
-            if trial < _STEP_MIN:
+            t *= _BACKTRACK
+            if step * t < _STEP_MIN:
                 break
         if not accepted:
             break  # no admissible descent step left at this precision

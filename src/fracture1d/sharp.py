@@ -10,6 +10,7 @@ their inputs, so only rounding noise must be absorbed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,17 +269,31 @@ def segment_h2(ell: float, lam: float) -> PiecewiseLinearField:
     return PiecewiseLinearField(ell, (0.0, ell - rise, ell), (0.0, 0.0, rise))
 
 
+# (lam - 1)^2 is a finite float while |lam - 1| stays below this.
+_EXCESS_MAX = math.sqrt(sys.float_info.max)
+
+
+def _excess_squared(lam: float) -> float:
+    """(lam - 1)^2, the scale of the misfit energy at load lam."""
+    if not abs(lam - 1.0) < _EXCESS_MAX:
+        raise DomainError(
+            f"lambda must be within {_EXCESS_MAX:.4g} of 1 so that "
+            f"(lambda - 1)^2 is finite, got {lam!r}"
+        )
+    return (lam - 1.0) ** 2
+
+
 def segment_energy(ell: float, lam: float, c_wstar: float, mu: float) -> float:
     """Energy of either segment shape on [0, ell]: one jump plus the misfit."""
     _check_segment_args(ell, lam)
-    return c_wstar + mu * (lam - 1.0) ** 2 * ell**3 / (6.0 * lam**3)
+    return c_wstar + mu * _excess_squared(lam) * (ell / lam) ** 3 / 6.0
 
 
 def v_n(n: int, c_wstar: float, mu: float, lam: float) -> float:
     """Minimum energy of an n-segment equal-length configuration."""
     if n < 1:
         raise DomainError("crack count n must be at least 1")
-    return n * c_wstar + mu * (lam - 1.0) ** 2 / (6.0 * n**2)
+    return n * c_wstar + mu * _excess_squared(lam) / (6.0 * n**2)
 
 
 def continuous_crack_estimate(c_wstar: float, mu: float, lam: float) -> float:
@@ -287,7 +302,7 @@ def continuous_crack_estimate(c_wstar: float, mu: float, lam: float) -> float:
         raise DomainError(f"crack counting requires 1 < lambda < inf, got {lam!r}")
     if not (0.0 <= mu < math.inf and 0.0 < c_wstar < math.inf):
         raise DomainError(f"need finite mu >= 0 and c_wstar > 0, got {mu!r} and {c_wstar!r}")
-    return (mu * (lam - 1.0) ** 2 / (3.0 * c_wstar)) ** (1.0 / 3.0)
+    return (mu * _excess_squared(lam) / (3.0 * c_wstar)) ** (1.0 / 3.0)
 
 
 def crack_count(c_wstar: float, mu: float, lam: float) -> int:

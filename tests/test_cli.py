@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,6 +351,8 @@ _SHARP = "sharp --lambda 1.5 --mu 200"
 _SCAN = "scan --mu 200 --lambda-min 1 --lambda-max 2 --step 0.01"
 _MINIMIZE = "minimize --functional E --lambda 1.4 --epsilon 0.1 --grid 32 --max-iterations 5"
 _SWEEP = "sweep --functional I --lambda 0.8 --epsilons 0.1 --grid 32 --max-iterations 5"
+_NOT_A_DIR = "is not a directory"
+_FIELD = Path(__file__).parent / "golden" / "sharp-reconstruct" / "sharp_lambda1.5_mu200_variantA.field"
 
 
 # (command line, a word the error names); a later flag overrides an
@@ -385,10 +388,20 @@ _SWEEP = "sweep --functional I --lambda 0.8 --epsilons 0.1 --grid 32 --max-itera
         pytest.param("reconstruct", "missing required settings", id="reconstruct-missing"),
         pytest.param("cwstar --abs-tol inf", "abs_tol", id="cwstar-abs-tol-inf"),
         pytest.param("cwstar --abs-tol nan", "abs_tol", id="cwstar-abs-tol-nan"),
+        pytest.param(f"{_SHARP} --lambda 1e200", "lambda", id="sharp-lambda-overflows"),
+        pytest.param(f"{_SCAN} --step 1e-320", "step", id="scan-step-too-small"),
+        # These rows pass an --out that is an existing file.
+        pytest.param(_SHARP, _NOT_A_DIR, id="sharp-out-is-a-file"),
+        pytest.param(_MINIMIZE, _NOT_A_DIR, id="minimize-out-is-a-file"),
+        pytest.param(_SCAN, _NOT_A_DIR, id="scan-out-is-a-file"),
+        pytest.param(_SWEEP, _NOT_A_DIR, id="sweep-out-is-a-file"),
+        pytest.param(f"reconstruct --field {_FIELD}", _NOT_A_DIR, id="reconstruct-out-is-a-file"),
     ],
 )
 def test_cli_rejects_a_bad_value_before_writing(tmp_path, capsys, line, word):
     out = tmp_path / "out"
+    if word == _NOT_A_DIR:
+        out.write_text("kept\n")
     args = line.split()
     if args[0] != "cwstar":  # the one command without --out
         args += ["--out", str(out)]
@@ -396,4 +409,8 @@ def test_cli_rejects_a_bad_value_before_writing(tmp_path, capsys, line, word):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert word in err
-    assert not out.exists()
+    if word == _NOT_A_DIR:
+        assert err.startswith("error: out ")
+        assert out.read_text() == "kept\n"
+    else:
+        assert not out.exists()

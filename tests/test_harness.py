@@ -64,6 +64,9 @@ def test_crack_scan_rejects_bad_ranges():
         crack_scan((1.0, 2.0), math.nan, 200.0, LJ)
     with pytest.raises(ValueError, match="lambda range"):
         crack_scan((1.0, math.inf), 0.01, 200.0, LJ)
+    # A positive step too small for the row count to be finite.
+    with pytest.raises(ValueError, match="step"):
+        crack_scan((1.0, 2.0), 1e-320, 200.0, LJ)
     # The range holds no row, so only the up-front check can see mu.
     with pytest.raises(ValueError, match="mu"):
         crack_scan((1.0, 1.005), 0.01, -5.0, LJ)

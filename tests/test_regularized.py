@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from typing import Sequence
 
 import numpy as np
@@ -625,7 +626,8 @@ def test_minimize_with_a_field_start_builds_no_battery(monkeypatch):
 
 def _descend_oracle(x0, energy, gradient, proj, settings):
     """The descent loop that projects once more per iteration for the
-    stationarity test: the reference for bitwise equality of ``_descend``."""
+    stationarity test: the reference for bitwise equality of ``_descend``.
+    Like it, the loop backtracks along the projected direction."""
     x = proj(np.asarray(x0, dtype=float))
     fx = energy(x)
     gx = gradient(x)
@@ -648,16 +650,18 @@ def _descend_oracle(x0, energy, gradient, proj, settings):
                 step = min(max(float(s @ s) / sy, _STEP_MIN), _STEP_MAX)
             else:
                 step = min(2.0 * step, _STEP_MAX)
-        trial = step
+        xp = proj(x - step * gx)
+        d = xp - x
+        t = 1.0
         accepted = False
-        for _ in range(40):
-            xn = proj(x - trial * gx)
+        for attempt in range(40):
+            xn = x + t * d if attempt else xp
             fn = energy(xn)
             if fn <= fx - _ARMIJO * float(gx @ (x - xn)):
                 accepted = True
                 break
-            trial *= _BACKTRACK
-            if trial < _STEP_MIN:
+            t *= _BACKTRACK
+            if step * t < _STEP_MIN:
                 break
         if not accepted:
             break  # no admissible descent step left at this precision
@@ -673,16 +677,33 @@ def _descend_oracle(x0, energy, gradient, proj, settings):
     return x, fx, iterations, converged, history
 
 
+def _run_battery(
+    functional, settings, descend=_descend, on_energy=None, on_project=None, on_gradient=None
+):
+    """Run ``descend`` from every start of the battery, calling the hooks
+    with each point it evaluates, projects or differentiates."""
+    kind = _FUNCTIONALS[functional]
+
+    def hooked(inner, hook):
+        def wrapper(v):
+            if hook is not None:
+                hook(v)
+            return inner(v)
+        return wrapper
+
+    energy = hooked(lambda v: kind.energy(v, settings, LJ), on_energy)
+    gradient = hooked(lambda v: kind.gradient(v, settings, LJ), on_gradient)
+    proj = hooked(lambda v: kind.project(v, settings.lam), on_project)
+    for label, x0 in _start_battery(kind, LJ, settings):
+        yield label, descend(x0, energy, gradient, proj, settings)
+
+
 def _descents_of_the_battery(functional, settings):
     """Run ``_descend`` and the reference from every start of the battery."""
-    kind = _FUNCTIONALS[functional]
-    energy = lambda v: kind.energy(v, settings, LJ)
-    gradient = lambda v: kind.gradient(v, settings, LJ)
-    proj = lambda v: kind.project(v, settings.lam)
-    for label, x0 in _start_battery(kind, LJ, settings):
-        mine = _descend(x0, energy, gradient, proj, settings)
-        oracle = _descend_oracle(x0, energy, gradient, proj, settings)
-        yield label, mine, oracle
+    mine = _run_battery(functional, settings)
+    oracle = _run_battery(functional, settings, descend=_descend_oracle)
+    for (label, m), (_, o) in zip(mine, oracle):
+        yield label, m, o
 
 
 def _assert_descents_bitwise(mine, oracle):
@@ -716,6 +737,75 @@ def test_descend_is_bitwise_the_reference_at_the_iteration_cap(functional, setti
         _assert_descents_bitwise(mine, oracle)
     capped = [mine for _, mine, _ in runs if mine[2] == settings.max_iterations]
     assert capped and not any(m[3] for m in capped)
+
+
+@pytest.mark.parametrize(
+    "functional, settings",
+    [
+        ("E", SolveSettings(lam=1.4, epsilon=0.02, grid_n=4000)),
+        ("V", SolveSettings(lam=1.5, epsilon=0.02, mu=200.0)),
+    ],
+)
+def test_every_point_the_descent_evaluates_is_feasible(functional, settings):
+    """Backtracking trials are convex combinations x + t d of two feasible
+    points and are never projected: they must stay feasible anyway.  E:
+    H >= 0 exactly and the trapezoid integral is 1 within 1e-12.  V: the
+    ends are exactly 0 and 1 and h never drops."""
+    d = settings.lam / settings.grid_n
+    seen = {"mass": 0.0, "points": 0, "projections": 0}
+
+    def check(v):
+        seen["points"] += 1
+        if functional == "E":
+            assert np.all(v >= 0.0)
+            mass = d * (float(np.sum(v)) - 0.5 * (v[0] + v[-1]))
+            seen["mass"] = max(seen["mass"], abs(mass - 1.0))
+        else:
+            assert v[0] == 0.0 and v[-1] == 1.0
+            assert np.all(np.diff(v) >= 0.0)
+
+    def count(v):
+        seen["projections"] += 1
+
+    for _ in _run_battery(functional, settings, on_energy=check, on_project=count):
+        pass
+    assert seen["mass"] <= 1e-12
+    # Some of the checked points were backtracking trials, not projections.
+    assert seen["points"] > seen["projections"]
+
+
+@pytest.mark.parametrize(
+    "functional, settings",
+    [
+        ("E", SolveSettings(lam=0.8, epsilon=0.05, grid_n=100)),
+        ("E", SolveSettings(lam=1.4, epsilon=0.05, grid_n=300, max_iterations=60)),
+        ("V", SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=200, max_iterations=60)),
+    ],
+)
+def test_backtracking_makes_no_projection(functional, settings):
+    """Per iteration the descent projects once (the first trial), or twice
+    when the exact stationarity test runs; both come before the first
+    energy evaluation, so no backtrack projects.  Events: P projection,
+    E energy, G gradient; an iteration ends at its gradient."""
+    events, logs = [], []
+    for _, (x, fx, iterations, converged, history) in _run_battery(
+        functional, settings,
+        on_energy=lambda v: events.append("E"),
+        on_project=lambda v: events.append("P"),
+        on_gradient=lambda v: events.append("G"),
+    ):
+        log = "".join(events)
+        events.clear()
+        logs.append(log)
+        # Set-up, accepted iterations, then at most one unfinished one:
+        # converged (PP) or a failed line search (P or PP, then energies).
+        assert re.fullmatch(r"PEG(PP?E+G)*(PP|PP?E+)?", log)
+        assert log.count("G") == len(history)
+        assert converged == log.endswith("PP")
+        assert iterations == len(history) - 1 + (not log.endswith("G"))
+    # Some trials backtracked, so the pattern was exercised.
+    joined = "".join(logs)
+    assert joined.count("E") > joined.count("G")
 
 
 # ------------------------------------------------------------ lower bound

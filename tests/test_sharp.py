@@ -172,6 +172,14 @@ def test_crack_count_rejects_compression():
             for count in (crack_count, continuous_crack_estimate):
                 with pytest.raises(DomainError):
                     count(C_LJ, mu, lam)
+    # A finite load whose (lambda - 1)^2 overflows.
+    for count in (crack_count, continuous_crack_estimate):
+        with pytest.raises(DomainError, match="lambda"):
+            count(C_LJ, 200.0, 1e200)
+    with pytest.raises(DomainError, match="lambda"):
+        v_n(4, C_LJ, 200.0, 1e200)
+    with pytest.raises(DomainError, match="lambda"):
+        segment_energy(1.0, 1e200, C_LJ, 200.0)
 
 
 def test_crack_count_staircase_in_lambda():
