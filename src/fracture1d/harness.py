@@ -251,6 +251,11 @@ def gamma_sweep_V(
     )
 
 
+# Each row is one line of the scan CSV and one object of its JSON, some
+# 250 bytes together: at this bound a scan writes some 25 MB.
+_SCAN_ROWS_MAX = 10**5
+
+
 def crack_scan(
     lambda_range: tuple[float, float],
     step: float,
@@ -266,8 +271,8 @@ def crack_scan(
     if not 0.0 <= mu < math.inf:
         raise ValueError(f"mu must be nonnegative and finite, got {mu!r}")
     steps = (hi - lo) / step
-    if not steps < math.inf:
-        raise ValueError(f"step {step!r} is too small to count the rows of {lambda_range}")
+    if not steps <= _SCAN_ROWS_MAX:
+        raise ValueError(f"step {step!r} gives {steps:.4g} rows, more than {_SCAN_ROWS_MAX}")
     cw = c_wstar(model)
     rows = []
     count = int(round(steps))

@@ -2,11 +2,11 @@
 
 Fields live on a uniform node grid.  Both functionals are minimized by
 projected gradient descent with Barzilai-Borwein steps safeguarded by
-backtracking along the projected direction, one projection per
-iteration; feasibility is maintained by exact projections (weighted
+backtracking along the projected direction; the one projection per
+iteration also certifies convergence.  Exact projections (weighted
 clipped-affine shift for the mass constraint, pool-adjacent-violators
-for monotonicity) and convex combinations of feasible points, so
-energies are meaningful at every iterate.
+for monotonicity) and convex combinations of feasible points keep every
+iterate feasible, so energies are meaningful throughout.
 
 The foundation-coupled energy is the unrescaled one with interaction
 stiffness k = epsilon * mu; dividing by epsilon gives the quantity that
@@ -530,18 +530,16 @@ def _descend(
             else:
                 step = min(2.0 * step, _STEP_MAX)
         xn = proj(x - step * gx)
-        # Stationarity test ||x - P(x - g)|| <= tol.  For a projection onto
-        # a convex set, ||x - P(x - t g)|| is nondecreasing in t and
-        # ||x - P(x - t g)|| / t is nonincreasing (Calamai & More, Math.
-        # Program. 39, 1987, Lemma 2.2), so the first trial step bounds the
-        # unit-step residual from below by ||x - xn|| / max(step, 1).  Only
-        # when that bound is within a factor 2 of tol, a margin for
-        # rounding in the projections, is the exact test worth a projection.
+        # Stationarity test ||x - P(x - g)|| <= tol from the first trial
+        # alone.  For a projection onto a convex set, r(t) = ||x - P(x - t g)||
+        # is nondecreasing in t and r(t) / t nonincreasing (Calamai & More,
+        # Math. Program. 39, 1987, Lemma 2.2): r(1) <= r(step) if step >= 1
+        # and r(1) <= r(step) / step if step < 1, so ||x - xn|| / min(step, 1)
+        # bounds the unit-step residual r(1) from above.
         tol = settings.gtol * (1.0 + float(np.linalg.norm(gx)))
-        if float(np.linalg.norm(x - xn)) / max(step, 1.0) <= 2.0 * tol:
-            if float(np.linalg.norm(x - proj(x - gx))) <= tol:
-                converged = True
-                break
+        if float(np.linalg.norm(x - xn)) / min(step, 1.0) <= tol:
+            converged = True
+            break
         # Backtrack along the projected direction d = P(x - step g) - x
         # (Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000): x + t d is
         # feasible for t in (0, 1] by convexity, so no trial but the first

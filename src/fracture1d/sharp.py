@@ -302,7 +302,10 @@ def continuous_crack_estimate(c_wstar: float, mu: float, lam: float) -> float:
         raise DomainError(f"crack counting requires 1 < lambda < inf, got {lam!r}")
     if not (0.0 <= mu < math.inf and 0.0 < c_wstar < math.inf):
         raise DomainError(f"need finite mu >= 0 and c_wstar > 0, got {mu!r} and {c_wstar!r}")
-    return (mu * _excess_squared(lam) / (3.0 * c_wstar)) ** (1.0 / 3.0)
+    x = (mu * _excess_squared(lam) / (3.0 * c_wstar)) ** (1.0 / 3.0)
+    if not x < math.inf:
+        raise DomainError(f"the crack count overflows at lambda {lam!r} and mu {mu!r}")
+    return x
 
 
 def crack_count(c_wstar: float, mu: float, lam: float) -> int:
@@ -320,6 +323,12 @@ def crack_count(c_wstar: float, mu: float, lam: float) -> int:
     return m + 1
 
 
+# A minimizer with n cracks holds 2n + 1 knots, and each is one line of
+# some 40 bytes in a written field file: at this bound a field has 2e6
+# knots and its file some 80 MB, far above any crack count a solve uses.
+_CRACKS_MAX = 10**6
+
+
 def build_sharp_minimizer(
     n: int, lam: float, variant: str, c_wstar: float, mu: float
 ) -> SharpMinimizer:
@@ -332,6 +341,8 @@ def build_sharp_minimizer(
     """
     if n < 1:
         raise DomainError("crack count n must be at least 1")
+    if n > _CRACKS_MAX:
+        raise DomainError(f"crack count n = {n:.4g} exceeds the {_CRACKS_MAX} a field is built for")
     if not lam > 1.0:
         raise DomainError("the minimizer construction requires lambda > 1")
     if variant not in ("A", "B"):

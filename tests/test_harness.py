@@ -67,6 +67,9 @@ def test_crack_scan_rejects_bad_ranges():
     # A positive step too small for the row count to be finite.
     with pytest.raises(ValueError, match="step"):
         crack_scan((1.0, 2.0), 1e-320, 200.0, LJ)
+    # A finite row count far past any written scan (1e300 rows).
+    with pytest.raises(ValueError, match="step"):
+        crack_scan((1.0, 2.0), 1e-300, 200.0, LJ)
     # The range holds no row, so only the up-front check can see mu.
     with pytest.raises(ValueError, match="mu"):
         crack_scan((1.0, 1.005), 0.01, -5.0, LJ)

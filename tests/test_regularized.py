@@ -387,12 +387,14 @@ def test_project_h_is_bitwise_the_pinned_end_projection():
 
 @pytest.mark.parametrize("name, proj", [("H", project_H), ("h", project_h)])
 def test_projection_residual_is_monotone_in_the_step(name, proj):
-    """The premise of the stationarity certificate in ``_descend``: for a
+    """The premise of the stationarity test in ``_descend``: for a
     feasible x, r(t) = ||x - P(x - t g)|| is nondecreasing and r(t) / t is
-    nonincreasing.  The slack is 1e-12 of the size of the projected point,
-    to allow for rounding in the projection."""
+    nonincreasing, so r(1) <= r(t) / min(t, 1).  The steps reach down to
+    1e-8, below the Barzilai-Borwein steps of a V sweep, where the r(t) / t
+    half decides the test.  The slack is 1e-12 of the size of the
+    projected point, to allow for rounding in the projection."""
     rng = np.random.default_rng(53)
-    ts = np.logspace(-6, 3, 91)
+    ts = np.logspace(-8, 3, 111)
     for _ in range(20):
         n = int(rng.integers(5, 300))
         lam = float(rng.uniform(0.5, 3.0))
@@ -625,8 +627,9 @@ def test_minimize_with_a_field_start_builds_no_battery(monkeypatch):
 
 
 def _descend_oracle(x0, energy, gradient, proj, settings):
-    """The descent loop that projects once more per iteration for the
-    stationarity test: the reference for bitwise equality of ``_descend``.
+    """The descent loop that projects once more per iteration for an exact
+    stationarity test ||x - P(x - g)|| <= tol: the reference for bitwise
+    equality of ``_descend``, whose test reads the first trial instead.
     Like it, the loop backtracks along the projected direction."""
     x = proj(np.asarray(x0, dtype=float))
     fx = energy(x)
@@ -714,8 +717,8 @@ def _assert_descents_bitwise(mine, oracle):
 
 def test_descend_is_bitwise_the_reference_when_it_converges():
     # Criterion 5's compression of E on a small grid: every start
-    # converges, the random ones after tens of iterations, so the exact
-    # stationarity test behind the certificate fired.
+    # converges, the random ones after tens of iterations, so the test
+    # from the first trial stopped each descent where the exact one does.
     settings = SolveSettings(lam=0.8, epsilon=0.05, grid_n=100)
     runs = list(_descents_of_the_battery("E", settings))
     for label, mine, oracle in runs:
@@ -783,10 +786,10 @@ def test_every_point_the_descent_evaluates_is_feasible(functional, settings):
     ],
 )
 def test_backtracking_makes_no_projection(functional, settings):
-    """Per iteration the descent projects once (the first trial), or twice
-    when the exact stationarity test runs; both come before the first
-    energy evaluation, so no backtrack projects.  Events: P projection,
-    E energy, G gradient; an iteration ends at its gradient."""
+    """Per iteration the descent projects exactly once, for the first
+    trial, which also decides the stationarity test; the projection comes
+    before the first energy evaluation, so no backtrack projects.  Events:
+    P projection, E energy, G gradient; an iteration ends at its gradient."""
     events, logs = [], []
     for _, (x, fx, iterations, converged, history) in _run_battery(
         functional, settings,
@@ -798,14 +801,37 @@ def test_backtracking_makes_no_projection(functional, settings):
         events.clear()
         logs.append(log)
         # Set-up, accepted iterations, then at most one unfinished one:
-        # converged (PP) or a failed line search (P or PP, then energies).
-        assert re.fullmatch(r"PEG(PP?E+G)*(PP|PP?E+)?", log)
+        # converged (a lone P) or a failed line search (P, then energies).
+        assert re.fullmatch(r"PEG(PE+G)*(P|PE+)?", log)
         assert log.count("G") == len(history)
-        assert converged == log.endswith("PP")
+        assert converged == log.endswith("P")
         assert iterations == len(history) - 1 + (not log.endswith("G"))
     # Some trials backtracked, so the pattern was exercised.
     joined = "".join(logs)
     assert joined.count("E") > joined.count("G")
+
+
+@pytest.mark.parametrize(
+    "functional, settings",
+    [
+        ("E", SolveSettings(lam=0.8, epsilon=0.05, grid_n=100)),
+        ("V", SolveSettings(lam=0.9, epsilon=0.05, mu=200.0, grid_n=128)),
+        ("E", SolveSettings(lam=1.0, epsilon=0.05, grid_n=100)),
+    ],
+)
+def test_a_converged_descent_meets_the_unit_step_residual(functional, settings):
+    """``converged`` promises ||x - P(x - g)|| <= gtol (1 + ||g||) at the
+    returned point.  The descent decides it from its first trial, so check
+    it here with the projection the descent no longer makes."""
+    kind = _FUNCTIONALS[functional]
+    converged = 0
+    for _, (x, fx, iterations, conv, history) in _run_battery(functional, settings):
+        if conv:
+            g = kind.gradient(x, settings, LJ)
+            residual = np.linalg.norm(x - kind.project(x - g, settings.lam))
+            assert residual <= settings.gtol * (1.0 + np.linalg.norm(g))
+            converged += 1
+    assert converged
 
 
 # ------------------------------------------------------------ lower bound

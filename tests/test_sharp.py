@@ -180,6 +180,10 @@ def test_crack_count_rejects_compression():
         v_n(4, C_LJ, 200.0, 1e200)
     with pytest.raises(DomainError, match="lambda"):
         segment_energy(1.0, 1e200, C_LJ, 200.0)
+    # (lambda - 1)^2 is finite, but mu times it is not.
+    for count in (crack_count, continuous_crack_estimate):
+        with pytest.raises(DomainError, match="overflows"):
+            count(C_LJ, 200.0, 1e154)
 
 
 def test_crack_count_staircase_in_lambda():
@@ -239,6 +243,12 @@ def test_minimizer_rejects_bad_arguments():
         build_sharp_minimizer(2, 1.0, "A", C_LJ, 200.0)
     with pytest.raises(DomainError):
         build_sharp_minimizer(2, 1.5, "C", C_LJ, 200.0)
+    # A count far past any written field is rejected before the segment
+    # loop, which would otherwise run about 5.6e100 times.
+    huge = crack_count(C_LJ, 200.0, 1e150)
+    for n in (10**6 + 1, huge):
+        with pytest.raises(DomainError, match="crack count"):
+            build_sharp_minimizer(n, 1e150, "A", C_LJ, 200.0)
 
 
 def test_construction_matches_formula_up_to_ten_segments():
