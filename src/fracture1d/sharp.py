@@ -2,8 +2,9 @@
 
 Exact piecewise fields, closed-form energies of the limit functionals,
 the alternating minimizer construction, the crack-count selection rule
-and the deformation reconstruction.  All admissibility checks use a
-1e-12 absolute tolerance: fields are built exactly in the arithmetic of
+and the deformation reconstruction.  Admissibility checks on values
+use a 1e-12 absolute tolerance, and checks on slopes a bound on the
+rounding of each slope: fields are built exactly in the arithmetic of
 their inputs, so only rounding noise must be absorbed.
 """
 
@@ -17,6 +18,9 @@ import numpy as np
 
 FEASIBILITY_TOL = 1e-12
 SLOPE_JUMP_TOL = 1e-9
+# Ulps of error allowed in each knot and knot value.  The minimizer's
+# knots take three roundings (j * lam, / n, + 1 / n); 8 leaves a margin.
+_KNOT_ULPS = 8.0
 
 __all__ = [
     "DomainError",
@@ -127,40 +131,56 @@ class PiecewiseLinearField:
         out = np.interp(np.asarray(y, dtype=float), self.knots, self.knot_values)
         return float(out) if out.ndim == 0 else out
 
-    def derivative_jump_count(self, tol: float = SLOPE_JUMP_TOL) -> int:
-        s = self.slopes()
-        return int(np.sum(np.abs(np.diff(s)) > tol))
+    def _slopes_and_tolerance(self) -> tuple[np.ndarray, np.ndarray]:
+        """``slopes()`` and a rounding bound on each, at least SLOPE_JUMP_TOL.
 
-    def _slope_runs(self, target: float, tol: float = SLOPE_JUMP_TOL):
-        """Maximal intervals where the slope stays within tol of target."""
-        s = self.slopes()
-        runs = []
-        start = None
-        for i, si in enumerate(s):
-            if abs(si - target) <= tol:
-                if start is None:
-                    start = i
-            elif start is not None:
+        Each knot is off by a few ulps of the domain length and each value
+        by a few ulps of the largest |h|, and a slope divides the errors at
+        both ends of its piece by the piece's length.  At lambda 1e4 the
+        minimizer has pieces of length 1/n near y = 1e4 whose slopes are
+        off by 4e-9.
+        """
+        dk = np.diff(np.array(self.knots))
+        size = self.domain_length + max(map(abs, self.knot_values))
+        tol = np.maximum(SLOPE_JUMP_TOL, (2.0 * _KNOT_ULPS * np.finfo(float).eps * size) / dk)
+        return np.diff(np.array(self.knot_values)) / dk, tol
+
+    def derivative_jump_count(self) -> int:
+        s, tol = self._slopes_and_tolerance()
+        return int(np.sum(np.abs(np.diff(s)) > tol[:-1] + tol[1:]))
+
+    def _slope_runs(self, target: float) -> list[tuple[float, float]]:
+        """Maximal intervals where the slope is target up to rounding."""
+        s, tol = self._slopes_and_tolerance()
+        runs, start = [], None
+        for i, inside in enumerate((np.abs(s - target) <= tol).tolist() + [False]):
+            if inside and start is None:
+                start = i
+            elif not inside and start is not None:
                 runs.append((self.knots[start], self.knots[i]))
                 start = None
-        if start is not None:
-            runs.append((self.knots[start], self.knots[-1]))
         return runs
 
-    def plateaus(self, tol: float = SLOPE_JUMP_TOL) -> list[tuple[float, float, float]]:
+    def plateaus(self) -> list[tuple[float, float, float]]:
         """Maximal slope-0 intervals as (y_start, y_end, h value)."""
-        return [(a, b, self.value_at(a)) for a, b in self._slope_runs(0.0, tol)]
+        runs = self._slope_runs(0.0)
+        values = self.value_at([a for a, _ in runs]).tolist()
+        return [(a, b, h) for (a, b), h in zip(runs, values)]
 
-    def rising_intervals(self, tol: float = SLOPE_JUMP_TOL) -> list[tuple[float, float]]:
-        return self._slope_runs(1.0, tol)
+    def rising_intervals(self) -> list[tuple[float, float]]:
+        return self._slope_runs(1.0)
+
+    def has_well_slopes(self) -> bool:
+        """Every slope is 0 or 1 up to rounding."""
+        s, tol = self._slopes_and_tolerance()
+        return bool(np.all(np.minimum(np.abs(s), np.abs(s - 1.0)) <= tol))
 
     def is_V_admissible(self, tol: float = FEASIBILITY_TOL) -> bool:
         if abs(self.knot_values[0]) > tol:
             return False
         if abs(self.knot_values[-1] - 1.0) > tol:
             return False
-        s = self.slopes()
-        return bool(np.all(np.minimum(np.abs(s), np.abs(s - 1.0)) <= 1e-9))
+        return self.has_well_slopes()
 
 
 @dataclass(frozen=True)
@@ -222,11 +242,10 @@ def foundation_integral(field: PiecewiseLinearField, load: float | None = None) 
     lam = field.domain_length if load is None else load
     knots = field.knots
     vals = field.knot_values
-    slopes = field.slopes()
+    slopes, tol = field._slopes_and_tolerance()
+    rising = np.abs(slopes) > tol
     pieces = []
-    for i, s in enumerate(slopes):
-        if abs(s) <= 1e-9:
-            continue
+    for i in np.flatnonzero(rising).tolist():
         m0 = knots[i] - lam * vals[i]
         m1 = knots[i + 1] - lam * vals[i + 1]
         if lam == 1.0:
@@ -447,14 +466,12 @@ def reconstruct_deformation(field: PiecewiseLinearField) -> DeformationGraph:
     the material coordinate; maximal plateaus become jumps of f, one per
     geometric crack.
     """
-    s = field.slopes()
-    if np.any(np.minimum(np.abs(s), np.abs(s - 1.0)) > 1e-9):
+    if not field.has_well_slopes():
         raise DomainError("reconstruction needs slopes in {0, 1}")
     if not field.is_V_admissible():
         raise DomainError("reconstruction needs h(0) = 0 and h(lambda) = 1")
-    segments = tuple(
-        (field.value_at(a), field.value_at(b), a, b)
-        for a, b in field.rising_intervals()
-    )
+    rising = field.rising_intervals()
+    ends = field.value_at(np.reshape(rising, (-1, 2))).tolist()
+    segments = tuple((fa, fb, a, b) for (a, b), (fa, fb) in zip(rising, ends))
     jumps = tuple((h, a, b) for a, b, h in field.plateaus())
     return DeformationGraph(segments, jumps)

@@ -254,6 +254,15 @@ def test_cli_reconstruct_round_trip(tmp_path):
     assert (x, lo, hi) == pytest.approx((1.0, 1.0, 1.4), abs=1e-12)
 
 
+def test_cli_sharp_and_reconstruct_at_a_large_load(tmp_path):
+    # n = 2605: slopes of the pieces near y = 1e4 carry rounding of 4e-9.
+    assert main(["sharp", "--lambda", "1e4", "--mu", "200", "--out", str(tmp_path)]) == 0
+    field = tmp_path / "sharp_lambda10000_mu200_variantA.field"
+    assert main(["reconstruct", "--field", str(field), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "sharp_lambda10000_mu200_variantA_deformation.json").read_text())
+    assert len(payload["jumps"]) == 1303
+
+
 def test_cli_reconstruct_missing_file(tmp_path):
     assert main(["reconstruct", "--field", str(tmp_path / "nope.field")]) == 2
 

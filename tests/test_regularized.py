@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +22,7 @@ from fracture1d.regularized import (
     _descend,
     _e_energy,
     _start_battery,
+    _trapezoid_weights,
     _v_energy,
     eval_E_eps,
     eval_V_eps,
@@ -198,6 +200,35 @@ def _project_H_oracle(raw, lam):
             if best is None or dist < best[0] - 1e-15:
                 best = (dist, cand)
     return best[1]
+
+
+def _sorted_project_H(values: Sequence[float], lam: float) -> DiscreteField:
+    """The sort-based projection that Michelot's iteration replaced: the
+    large-N reference.
+
+    The projection has the clipped-affine form max(0, raw - theta * a)
+    with a the trapezoid weight vector.  The weighted sum is piecewise
+    linear and decreasing in theta, so theta is located by bisection
+    over its clipping breakpoints and then solved exactly on the
+    resulting active set; the weighted sum lands on 1 to machine
+    accuracy, far inside the 1e-12 feasibility budget.
+    """
+    if lam <= 0.0:
+        raise Infeasible("cannot normalize the integral on a nonpositive domain")
+    raw = np.asarray(values, dtype=float)
+    a = _trapezoid_weights(raw.size, lam / (raw.size - 1))
+    breaks = raw / a  # component j clips to zero for theta >= breaks[j]
+    order = np.argsort(breaks)
+    aw = a[order]
+    # Suffix sums give the weighted sum on each breakpoint interval:
+    # W(theta) = s1[k] - theta * s2[k] while the active set is order[k:].
+    s2 = np.cumsum((aw * aw)[::-1])[::-1]
+    s1 = np.cumsum((aw * raw[order])[::-1])[::-1]
+    tb = breaks[order]
+    at_breaks = s1 - tb * s2  # W evaluated at each breakpoint, decreasing
+    k = int(np.searchsorted(-at_breaks, -1.0))
+    theta = (s1[k] - 1.0) / s2[k]
+    return DiscreteField(lam, np.maximum(0.0, raw - theta * a))
 
 
 def _project_h_oracle(raw, lam):
@@ -418,6 +449,53 @@ def test_project_H_matches_enumeration_oracle():
         assert np.max(np.abs(mine - oracle)) <= 1e-10
 
 
+def _large_project_H_inputs(n, lam, rng):
+    """Random, all-negative, too little mass (theta < 0), a spike, and an
+    already feasible input, on n nodes."""
+    t = np.linspace(0.0, 1.0, n)
+    smooth = (1.0 / lam) * (1.0 + 0.6 * np.sin(7.0 * t))
+    spike = np.zeros(n)
+    spike[n // 3] = 50.0
+    return {
+        "random": 1.0 / lam + 0.4 * rng.standard_normal(n),
+        "negative": -np.abs(rng.standard_normal(n)) - 0.1,
+        "light": 0.5 / lam + 0.01 * rng.standard_normal(n),
+        "spike": spike,
+        "feasible": _sorted_project_H(smooth, lam).values,
+    }
+
+
+@pytest.mark.parametrize("n", [1001, 4001, 16001])
+def test_project_H_matches_the_sorted_projection_at_large_n(n):
+    rng = np.random.default_rng(n)
+    lam = 1.4
+    for name, raw in _large_project_H_inputs(n, lam, rng).items():
+        mine = project_H(raw, lam).values
+        reference = _sorted_project_H(raw, lam).values
+        tol = 1e-12 * (1.0 + np.max(np.abs(raw)))
+        assert np.max(np.abs(mine - reference)) <= tol, name
+        if name == "feasible":
+            assert np.max(np.abs(mine - raw)) <= tol
+
+
+@pytest.mark.parametrize("n", [1001, 4001, 16001])
+def test_project_H_meets_the_optimality_conditions(n):
+    """H >= 0 and a.H = 1; with theta solved on the support of H,
+    raw > theta * a and H = raw - theta * a there, raw <= theta * a off it."""
+    rng = np.random.default_rng(n + 1)
+    lam = 1.4
+    a = _trapezoid_weights(n, lam / (n - 1))
+    for name, raw in _large_project_H_inputs(n, lam, rng).items():
+        h = project_H(raw, lam).values
+        assert np.all(h >= 0.0), name
+        assert abs(a @ h - 1.0) <= 1e-12, name
+        support = h > 0.0
+        theta = (a[support] @ raw[support] - 1.0) / (a[support] @ a[support])
+        assert np.all(raw[support] > theta * a[support]), name
+        assert np.all(raw[~support] <= theta * a[~support]), name
+        assert np.max(np.abs(h[support] - (raw[support] - theta * a[support]))) <= 1e-12
+
+
 def test_project_H_feasible_input_is_fixed():
     field = project_H(np.array([0.2, 1.1, 0.9, 1.4, 0.2]), 1.0)
     again = project_H(field.values, 1.0)
@@ -441,6 +519,13 @@ def test_project_H_spike_input():
     assert np.all(out.values >= 0.0)
     assert abs(np.trapezoid(out.values, dx=1.0 / 8) - 1.0) <= 1e-12
     assert np.max(np.abs(out.values - _project_H_oracle(raw, 1.0))) <= 1e-10
+    # Rounding leaves no node above theta * a for a spike this tall; the
+    # iteration stops there as the sorted projection does, without 0 / 0.
+    raw[4] = 1e20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = project_H(raw, 1.0)
+    assert np.array_equal(out.values, _sorted_project_H(raw, 1.0).values)
 
 
 def test_project_H_rejects_nonpositive_domain():

@@ -251,6 +251,67 @@ def test_minimizer_rejects_bad_arguments():
             build_sharp_minimizer(n, 1e150, "A", C_LJ, 200.0)
 
 
+@pytest.mark.parametrize("lam", [1e4, 3e4])
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_minimizer_at_a_large_load_reconstructs(lam, variant):
+    """Knots near y = lam are rounded by ulps of lam, so slopes of the
+    short elastic pieces are off by up to 1.6e-8; the slope tolerance
+    absorbs that.  Variant A merges segments (0, 1), (2, 3), ... into
+    ceil(n / 2) plateaus; B has a lone plateau at y = 0, then floor(n / 2)."""
+    n = crack_count(C_LJ, 200.0, lam)
+    m = build_sharp_minimizer(n, lam, variant, C_LJ, 200.0)
+    plateaus = (n + 1) // 2 if variant == "A" else n // 2 + 1
+    assert len(m.cracks) == plateaus
+    assert m.field.derivative_jump_count() == n
+    assert m.field.is_V_admissible()
+    graph = reconstruct_deformation(m.field)
+    assert len(graph.jumps) == plateaus
+    assert eval_V(m.field, C_LJ, 200.0) == pytest.approx(m.energy, rel=1e-9)
+
+
+def test_reconstruct_rejects_a_half_slope_at_a_large_load():
+    m = build_sharp_minimizer(crack_count(C_LJ, 200.0, 3e4), 3e4, "A", C_LJ, 200.0)
+    knots = np.asarray(m.field.knots)
+    values = np.array(m.field.knot_values)
+    # A short elastic piece (length 1/n), where the slope tolerance is largest.
+    i = int(np.flatnonzero(np.abs(m.field.slopes() - 1.0) < 1e-6)[-1])
+    values[i + 1 :] -= 0.5 * (knots[i + 1] - knots[i])
+    field = PiecewiseLinearField(m.field.domain_length, m.field.knots, tuple(values.tolist()))
+    assert field.slopes()[i] == pytest.approx(0.5, abs=1e-6)
+    assert not field.has_well_slopes()
+    with pytest.raises(DomainError, match="slopes"):
+        reconstruct_deformation(field)
+
+
+def _bits(rows):
+    return np.asarray(rows, dtype=float).view(np.uint64)
+
+
+def test_plateau_and_segment_values_are_the_per_point_values():
+    field = build_sharp_minimizer(crack_count(C_LJ, 200.0, 1e3), 1e3, "B", C_LJ, 200.0).field
+    per_plateau = [(a, b, field.value_at(a)) for a, b in field._slope_runs(0.0)]
+    assert np.array_equal(_bits(field.plateaus()), _bits(per_plateau))
+    per_segment = [
+        (field.value_at(a), field.value_at(b), a, b) for a, b in field.rising_intervals()
+    ]
+    assert np.array_equal(_bits(reconstruct_deformation(field).segments), _bits(per_segment))
+
+
+def test_building_and_reconstructing_interpolate_a_fixed_number_of_times(monkeypatch):
+    """One np.interp for all plateau values and one for all segment ends:
+    the count does not grow with n, so a build is linear in n."""
+    calls = []
+    interp = np.interp
+    monkeypatch.setattr(np, "interp", lambda *args: calls.append(1) or interp(*args))
+    counts = []
+    for lam in (1e3, 3e4):
+        calls.clear()
+        m = build_sharp_minimizer(crack_count(C_LJ, 200.0, lam), lam, "A", C_LJ, 200.0)
+        reconstruct_deformation(m.field)
+        counts.append(len(calls))
+    assert counts == [3, 3]
+
+
 def test_construction_matches_formula_up_to_ten_segments():
     for n in range(1, 11):
         for variant in ("A", "B"):
