@@ -296,14 +296,8 @@ def _cmd_sweep(merged, config) -> int:
     epsilons = [float(tok) for tok in merged["epsilons"].replace(",", " ").split()]
     settings = _settings(merged)
     model = _model(merged, config)
-    if merged["functional"] == "I":
-        report = harness.gamma_sweep_I(
-            merged["lambda"], model, epsilons, merged["grid"], settings
-        )
-    else:
-        report = harness.gamma_sweep_V(
-            merged["lambda"], merged["mu"], model, epsilons, merged["grid"], settings
-        )
+    sweep = harness.gamma_sweep_I if merged["functional"] == "I" else harness.gamma_sweep_V
+    report = sweep(model, epsilons, settings)
     out = _out_dir(merged)
     stem = f"sweep_{merged['functional']}_lambda{merged['lambda']:g}_mu{merged['mu']:g}"
     _write(out / f"{stem}.csv", serialize.sweep_csv(report))

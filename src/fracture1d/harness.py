@@ -130,11 +130,10 @@ def _nearest_by_slopes(h, candidates, spacing):
     return l1, slope_dist, sup, name
 
 
-def _sweep(
-    functional, lam, mu, model, epsilons, grid_n, settings, references, nearest, lower_bound
-) -> SweepReport:
+def _sweep(functional, model, epsilons, settings, references, nearest, lower_bound) -> SweepReport:
     """Continuation over the decreasing ``epsilons``, one best-of-multistart
-    solve per row, scored against the sharp references.
+    solve per row at ``settings`` with that row's epsilon, scored against
+    the sharp references.
 
     ``references(cw, nodes)``, called once the inputs are validated, gives
     the named reference node values and the sharp value (the upper
@@ -144,15 +143,15 @@ def _sweep(
     equipartition bound of a minimizer.
     """
     eps_list = _sorted_epsilons(epsilons)
-    base = settings or SolveSettings(lam=lam, epsilon=1.0)
-    base = replace(base, lam=lam, grid_n=grid_n, mu=mu)
     cw = c_wstar(model)
-    candidates, sharp_value = references(cw, np.linspace(0.0, lam, grid_n + 1))
+    candidates, sharp_value = references(
+        cw, np.linspace(0.0, settings.lam, settings.grid_n + 1)
+    )
     rows = []
-    warm: list[tuple[str, np.ndarray]] = []
+    warm = None
     for eps in eps_list:
-        result = minimize(_SOLVED[functional], model, replace(base, epsilon=eps), extra_inits=warm)
-        warm = [("continuation", result.minimizer.values.copy())]
+        result = minimize(_SOLVED[functional], model, replace(settings, epsilon=eps), warm)
+        warm = result.minimizer.values
         l1, slope_dist, sup, name = nearest(
             result.minimizer.values, candidates, result.minimizer.spacing
         )
@@ -172,17 +171,17 @@ def _sweep(
                 mm_lower_bound=bound,
                 nearest_candidate=name,
                 converged=result.converged,
-                suspect=suspect,
+                suspect=bool(suspect),  # a numpy bool from the energy comparisons
             )
         )
     metadata = {
         "functional": functional,
-        "lambda": lam,
-        "mu": mu,
+        "lambda": settings.lam,
+        "mu": settings.mu,
         "model": model.name,
-        "grid_n": grid_n,
-        "seed": base.seed,
-        "gtol": base.gtol,
+        "grid_n": settings.grid_n,
+        "seed": settings.seed,
+        "gtol": settings.gtol,
         "c_wstar": cw,
         "candidates": [name for name, _ in candidates],
     }
@@ -190,18 +189,17 @@ def _sweep(
 
 
 def gamma_sweep_I(
-    lam: float,
-    model: MaterialModel,
-    epsilons: Sequence[float],
-    grid_n: int,
-    settings: SolveSettings | None = None,
+    model: MaterialModel, epsilons: Sequence[float], settings: SolveSettings
 ) -> SweepReport:
     """Sweep the interfacial functional toward its sharp limit.
 
+    ``settings`` gives the load, the grid and the solver controls; its
+    epsilon is replaced row by row and its mu by 0, which E does not use.
     For stretched bars the references are the two single-crack fields;
     at lam = 1 the unbroken state and below it the homogeneous one, for
     which the sandwich diagnostics are skipped.
     """
+    lam = settings.lam
 
     def references(cw, nodes):
         if lam > 1.0 + 1e-12:
@@ -209,28 +207,26 @@ def gamma_sweep_I(
                 ("endA", PiecewiseConstantField(lam, (1.0,), (1.0, 0.0)).value_at(nodes)),
                 ("endB", PiecewiseConstantField(lam, (lam - 1.0,), (0.0, 1.0)).value_at(nodes)),
             ], cw
-        return [("homogeneous", np.full(grid_n + 1, 1.0 / lam))], None
+        return [("homogeneous", np.full(nodes.size, 1.0 / lam))], None
 
     return _sweep(
-        "I", lam, 0.0, model, epsilons, grid_n, settings, references, _nearest_by_l1,
+        "I", model, epsilons, replace(settings, mu=0.0), references, _nearest_by_l1,
         mm_lower_bound_H,
     )
 
 
 def gamma_sweep_V(
-    lam: float,
-    mu: float,
-    model: MaterialModel,
-    epsilons: Sequence[float],
-    grid_n: int,
-    settings: SolveSettings | None = None,
+    model: MaterialModel, epsilons: Sequence[float], settings: SolveSettings
 ) -> SweepReport:
     """Sweep the foundation-coupled functional toward its sharp limit.
 
-    References are both variants of the predicted minimizing
-    configuration; distances are reported in L1 of the field, L1 of the
-    slopes (the discrete first-derivative seminorm proxy) and sup norm.
+    ``settings`` gives the load, the foundation stiffness, the grid and
+    the solver controls; its epsilon is replaced row by row.  References
+    are both variants of the predicted minimizing configuration;
+    distances are reported in L1 of the field, L1 of the slopes (the
+    discrete first-derivative seminorm proxy) and sup norm.
     """
+    lam, mu = settings.lam, settings.mu
 
     def references(cw, nodes):
         if lam > 1.0 + 1e-12:
@@ -243,11 +239,10 @@ def gamma_sweep_V(
                 )
             ], v_n(n_star, cw, mu, lam)
         sharp_value = None if lam < 1.0 - 1e-12 else 0.0
-        return [("homogeneous", np.linspace(0.0, 1.0, grid_n + 1))], sharp_value
+        return [("homogeneous", np.linspace(0.0, 1.0, nodes.size))], sharp_value
 
     return _sweep(
-        "V", lam, mu, model, epsilons, grid_n, settings, references, _nearest_by_slopes,
-        mm_lower_bound_slopes,
+        "V", model, epsilons, settings, references, _nearest_by_slopes, mm_lower_bound_slopes
     )
 
 

@@ -157,11 +157,12 @@ def resolve_model(name: str, custom: dict[str, MaterialModel] | None = None) -> 
     raise KeyError(f"unknown material model {name!r}")
 
 
-def validate_model(model: MaterialModel, samples: int = 256) -> None:
+def validate_model(model: MaterialModel) -> None:
     """Check the two-well structure, the growth bound and the derivative.
 
     Raises ValueError on the first violated property.
     """
+    samples = 256  # points at which each property is sampled
     w0 = float(model.wstar(0.0))
     w1 = float(model.wstar(1.0))
     if abs(w0) > 1e-12 or abs(w1) > 1e-12:
@@ -169,7 +170,7 @@ def validate_model(model: MaterialModel, samples: int = 256) -> None:
     grid = np.linspace(0.01, 0.99, samples)
     if np.min(model.wstar(grid)) <= 0.0:
         raise ValueError(f"model {model.name!r}: wstar must be positive between wells")
-    report = check_growth(model, samples=max(samples, 100))
+    report = check_growth(model, samples)
     if not report.passed:
         raise ValueError(
             f"model {model.name!r}: growth bound fails at H={report.worst_h:g}"
@@ -242,20 +243,15 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return halfwidth * kronrod, halfwidth * abs(kronrod - gauss)
 
 
-def adaptive_quadrature(
-    f,
-    a: float,
-    b: float,
-    abs_tol: float,
-    max_intervals: int = 4096,
-) -> tuple[float, float]:
+def adaptive_quadrature(f, a: float, b: float, abs_tol: float) -> tuple[float, float]:
     """Integrate f on [a, b] to absolute accuracy abs_tol.
 
     Gauss-Kronrod panels refined by bisection of the worst interval; no
     endpoint evaluations, so square-root behaviour at a or b only slows
     convergence locally.  Returns (value, error estimate).  Raises
-    NonConvergence when max_intervals panels do not reach abs_tol.
+    NonConvergence when 4096 panels do not reach abs_tol.
     """
+    max_intervals = 4096
     if not 0.0 < abs_tol < math.inf:
         raise ValueError(f"abs_tol must be positive and finite, got {abs_tol!r}")
     if a == b:

@@ -126,6 +126,8 @@ class SolveSettings:
             raise ValueError("max_iterations must be at least 1")
         if self.multistart < 0:
             raise ValueError("multistart must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
 
 @dataclass
@@ -328,9 +330,9 @@ def transition_count_slopes(h_field: DiscreteField) -> int:
     return transition_count_values(h_field.slopes())
 
 
-def phi_interpolator(model: MaterialModel, s_max: float = 3.0, samples: int = 8193):
+def phi_interpolator(model: MaterialModel, s_max: float = 3.0):
     """Antiderivative of sqrt(2*wstar) on [0, s_max] as a vectorized map."""
-    grid = np.linspace(0.0, s_max, samples)
+    grid = np.linspace(0.0, s_max, 8193)
     f = np.sqrt(np.maximum(2.0 * model.wstar(grid), 0.0))
     phi = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(grid))))
     return lambda s: np.interp(np.asarray(s, dtype=float), grid, phi)
@@ -350,17 +352,16 @@ def mm_lower_bound_slopes(h_field: DiscreteField, model: MaterialModel) -> float
     return _phi_variation(h_field.slopes(), model)
 
 
-def transition_profile(
-    model: MaterialModel, epsilon: float, delta: float = 1e-4, samples: int = 4001
-) -> tuple[np.ndarray, np.ndarray]:
+def transition_profile(model: MaterialModel, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Heteroclinic well-to-well profile of the rescaled interfacial energy.
 
-    Integrates epsilon * q' = sqrt(2 * wstar(q)) from q = delta to
-    q = 1 - delta by quadrature of the separated form, on a grid graded
-    toward the wells where the slope degenerates.  Returns (offsets, q)
-    with the offset origin at q = 1/2, padded so interpolation clamps to
-    exactly 0 and 1 outside the truncated core.
+    Integrates epsilon * q' = sqrt(2 * wstar(q)) from q = delta = 1e-4
+    to q = 1 - delta by quadrature of the separated form, on 4001 nodes
+    graded toward the wells where the slope degenerates.  Returns
+    (offsets, q) with the offset origin at q = 1/2, padded so
+    interpolation clamps to exactly 0 and 1 outside the truncated core.
     """
+    delta, samples = 1e-4, 4001
     u = np.linspace(0.0, 1.0, samples)
     q = delta + (1.0 - 2.0 * delta) * (3.0 * u**2 - 2.0 * u**3)
     dq = (1.0 - 2.0 * delta) * 6.0 * u * (1.0 - u)
@@ -450,15 +451,15 @@ def mollify_sharp_candidate(
     return DiscreteField(lam, h)
 
 
-def _smooth_noise(rng: np.random.Generator, n_nodes: int, modes: int = 6) -> np.ndarray:
-    """Random low-frequency bump vanishing at both ends.
+def _smooth_noise(rng: np.random.Generator, n_nodes: int) -> np.ndarray:
+    """Random low-frequency bump of six sine modes, vanishing at both ends.
 
     Smoothness keeps the second-difference energy of perturbed starts
     moderate, so descent is not spent grinding down kink curvature.
     """
     t = np.linspace(0.0, 1.0, n_nodes)
     out = np.zeros(n_nodes)
-    for k in range(1, modes + 1):
+    for k in range(1, 7):
         out += (rng.standard_normal() / k) * np.sin(k * np.pi * t)
     peak = float(np.max(np.abs(out)))
     return out / peak if peak > 0.0 else out
@@ -610,16 +611,15 @@ def minimize(
     functional: str,
     model: MaterialModel,
     settings: SolveSettings,
-    init: DiscreteField | str | None = None,
-    extra_inits: Sequence[tuple[str, np.ndarray]] = (),
+    warm: np.ndarray | None = None,
 ) -> SolveResult:
     """Best-of-multistart projected gradient descent on E or V.
 
-    ``init`` may pin a single start (a field, or one of the named
-    strategies "homogeneous" / "random-0" / "mollified-..."); otherwise
-    the battery holds the homogeneous state, mollified sharp candidates
+    The battery holds the homogeneous state, mollified sharp candidates
     for crack counts around the predicted one, and seeded random
-    perturbations.  Results never raise on non-convergence; check the
+    perturbations.  ``warm``, the node values of an earlier solve (a
+    sweep's previous row), joins it last as the start labelled
+    "continuation".  Results never raise on non-convergence; check the
     ``converged`` flag.
     """
     kind = _FUNCTIONALS.get(functional.upper())
@@ -629,16 +629,9 @@ def minimize(
     gradient = lambda v: kind.gradient(v, settings, model)
     proj = lambda v: kind.project(v, settings.lam)
 
-    if isinstance(init, DiscreteField):
-        starts = [("user", init.values)]
-    else:
-        starts = _start_battery(kind, model, settings)
-    if isinstance(init, str):
-        named = dict(starts)
-        if init not in named:
-            raise ValueError(f"unknown start strategy {init!r}")
-        starts = [(init, named[init])]
-    starts = list(starts) + [(label, np.asarray(v, float)) for label, v in extra_inits]
+    starts = _start_battery(kind, model, settings)
+    if warm is not None:
+        starts.append(("continuation", np.asarray(warm, float)))
 
     best = None
     for label, x0 in starts:

@@ -8,11 +8,12 @@ values and identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 from typing import Iterable, Sequence
 
-from .harness import ScanReport, SweepReport
+from .harness import ScanReport, SweepReport, SweepRow
 from .regularized import DiscreteField, SolveResult
 from .sharp import DeformationGraph, PiecewiseConstantField, PiecewiseLinearField
 
@@ -111,35 +112,19 @@ def solve_summary_json(result: SolveResult, metadata: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-_SWEEP_COLUMNS = (
-    "epsilon",
-    "energy",
-    "rescaled_energy",
-    "transition_count",
-    "l1_distance_to_sharp",
-    "h1_seminorm_distance",
-    "sup_distance",
-    "mm_lower_bound",
-    "nearest_candidate",
-    "converged",
-    "suspect",
-)
+# One column per SweepRow field, in field order.
+_SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
+
+
+def _sweep_cell(value):
+    """None as an empty cell, a boolean as 0 or 1, anything else as is."""
+    if value is None:
+        return ""
+    return int(value) if isinstance(value, bool) else value
 
 
 def _sweep_row_cells(row):
-    return (
-        float(row.epsilon),
-        float(row.energy),
-        float(row.rescaled_energy),
-        row.transition_count,
-        float(row.l1_distance_to_sharp),
-        "" if row.h1_seminorm_distance is None else float(row.h1_seminorm_distance),
-        "" if row.sup_distance is None else float(row.sup_distance),
-        float(row.mm_lower_bound),
-        row.nearest_candidate,
-        int(row.converged),
-        int(row.suspect),
-    )
+    return [_sweep_cell(getattr(row, name)) for name in _SWEEP_COLUMNS]
 
 
 def sweep_csv(report: SweepReport) -> str:

@@ -79,17 +79,17 @@ class PiecewiseConstantField:
     def edges(self) -> tuple[float, ...]:
         return (0.0,) + self.breakpoints + (self.domain_length,)
 
-    def jump_count(self, tol: float = FEASIBILITY_TOL) -> int:
+    def jump_count(self) -> int:
         return sum(
-            1 for a, b in zip(self.values, self.values[1:]) if abs(b - a) > tol
+            1 for a, b in zip(self.values, self.values[1:]) if abs(b - a) > FEASIBILITY_TOL
         )
 
-    def measure_of(self, level: float, tol: float = FEASIBILITY_TOL) -> float:
+    def measure_of(self, level: float) -> float:
         edges = self.edges()
         return math.fsum(
             edges[i + 1] - edges[i]
             for i, v in enumerate(self.values)
-            if abs(v - level) <= tol
+            if abs(v - level) <= FEASIBILITY_TOL
         )
 
     def value_at(self, y):
@@ -98,9 +98,9 @@ class PiecewiseConstantField:
         out = np.asarray(self.values)[idx]
         return float(out) if out.ndim == 0 else out
 
-    def is_I_admissible(self, tol: float = FEASIBILITY_TOL) -> bool:
-        near_well = all(min(abs(v), abs(v - 1.0)) <= tol for v in self.values)
-        return near_well and abs(self.measure_of(1.0, tol) - 1.0) <= tol
+    def is_I_admissible(self) -> bool:
+        near_well = all(min(abs(v), abs(v - 1.0)) <= FEASIBILITY_TOL for v in self.values)
+        return near_well and abs(self.measure_of(1.0) - 1.0) <= FEASIBILITY_TOL
 
 
 @dataclass(frozen=True)
@@ -175,10 +175,10 @@ class PiecewiseLinearField:
         s, tol = self._slopes_and_tolerance()
         return bool(np.all(np.minimum(np.abs(s), np.abs(s - 1.0)) <= tol))
 
-    def is_V_admissible(self, tol: float = FEASIBILITY_TOL) -> bool:
-        if abs(self.knot_values[0]) > tol:
+    def is_V_admissible(self) -> bool:
+        if abs(self.knot_values[0]) > FEASIBILITY_TOL:
             return False
-        if abs(self.knot_values[-1] - 1.0) > tol:
+        if abs(self.knot_values[-1] - 1.0) > FEASIBILITY_TOL:
             return False
         return self.has_well_slopes()
 
@@ -466,6 +466,8 @@ def reconstruct_deformation(field: PiecewiseLinearField) -> DeformationGraph:
     the material coordinate; maximal plateaus become jumps of f, one per
     geometric crack.
     """
+    if not isinstance(field, PiecewiseLinearField):
+        raise DomainError("reconstruction needs a piecewise-linear inverse deformation")
     if not field.has_well_slopes():
         raise DomainError("reconstruction needs slopes in {0, 1}")
     if not field.is_V_admissible():

@@ -99,8 +99,7 @@ def test_criterion_05_compression_homogeneous():
 def test_criterion_06_gamma_sweep_interfacial():
     start = time.perf_counter()
     report = gamma_sweep_I(
-        1.4, LJ, [0.08, 0.04, 0.02, 0.01], 4000,
-        SolveSettings(lam=1.4, epsilon=1.0, grid_n=4000),
+        LJ, [0.08, 0.04, 0.02, 0.01], SolveSettings(lam=1.4, epsilon=1.0, grid_n=4000)
     )
     elapsed = time.perf_counter() - start
     last, prev = report.rows[-1], report.rows[-2]
@@ -119,8 +118,7 @@ def test_criterion_06_gamma_sweep_interfacial():
 def test_criterion_07_gamma_sweep_foundation():
     start = time.perf_counter()
     report = gamma_sweep_V(
-        LAM, MU, LJ, [0.08, 0.04, 0.02, 0.01], 4000,
-        SolveSettings(lam=LAM, epsilon=1.0, mu=MU, grid_n=4000),
+        LJ, [0.08, 0.04, 0.02, 0.01], SolveSettings(lam=LAM, epsilon=1.0, mu=MU, grid_n=4000)
     )
     elapsed = time.perf_counter() - start
     last = report.rows[-1]

@@ -267,6 +267,15 @@ def test_cli_reconstruct_missing_file(tmp_path):
     assert main(["reconstruct", "--field", str(tmp_path / "nope.field")]) == 2
 
 
+def test_cli_reconstruct_rejects_a_piecewise_constant_field(tmp_path, capsys):
+    field = tmp_path / "pc.field"
+    field.write_text("lambda 1.5\nkind pwconstant\n1.0 1.0\n1.5 0.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--field", str(field), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ config handling
 
 
@@ -383,6 +392,10 @@ _FIELD = Path(__file__).parent / "golden" / "sharp-reconstruct" / "sharp_lambda1
         pytest.param(f"{_MINIMIZE} --mu nan", "mu", id="minimize-mu-nan"),
         pytest.param(f"{_MINIMIZE} --gtol nan", "gtol", id="minimize-gtol-nan"),
         pytest.param(f"{_MINIMIZE} --multistart -3", "multistart", id="minimize-multistart"),
+        pytest.param(
+            "minimize --functional V --lambda 1.5 --mu 200 --epsilon 0.05 --grid 32 --seed -1",
+            "seed", id="minimize-seed-negative",
+        ),
         pytest.param("minimize --lambda 1.4", "missing required settings", id="minimize-missing"),
         pytest.param(f"{_SCAN} --lambda-max inf", "lambda range", id="scan-lambda-max-inf"),
         pytest.param(f"{_SCAN} --mu nan", "mu", id="scan-mu-nan"),
@@ -393,6 +406,7 @@ _FIELD = Path(__file__).parent / "golden" / "sharp-reconstruct" / "sharp_lambda1
         pytest.param(f"{_SWEEP} --epsilons 0.1,nan", "epsilons", id="sweep-epsilons-nan"),
         pytest.param(f"{_SWEEP} --epsilons 0.05,0.1", "epsilons", id="sweep-epsilons-increasing"),
         pytest.param(f"{_SWEEP} --multistart -3", "multistart", id="sweep-multistart"),
+        pytest.param(f"{_SWEEP} --seed -1", "seed", id="sweep-seed-negative"),
         pytest.param("sweep --lambda 1", "missing required settings", id="sweep-missing"),
         pytest.param("reconstruct", "missing required settings", id="reconstruct-missing"),
         pytest.param("cwstar --abs-tol inf", "abs_tol", id="cwstar-abs-tol-inf"),

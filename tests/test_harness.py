@@ -83,9 +83,7 @@ def test_sweep_report_validates_epsilon_order():
 
 
 def test_sweep_I_unloaded_bar_relaxes_to_uniform():
-    report = gamma_sweep_I(
-        1.0, LJ, [0.08, 0.04], 256, SolveSettings(lam=1.0, epsilon=1.0, grid_n=256)
-    )
+    report = gamma_sweep_I(LJ, [0.08, 0.04], SolveSettings(lam=1.0, epsilon=1.0, grid_n=256))
     last = report.rows[-1]
     assert last.rescaled_energy <= 1e-8
     assert last.l1_distance_to_sharp <= 1e-6
@@ -93,9 +91,7 @@ def test_sweep_I_unloaded_bar_relaxes_to_uniform():
 
 
 def test_sweep_I_compressed_bar_stays_homogeneous():
-    report = gamma_sweep_I(
-        0.8, LJ, [0.08, 0.04], 256, SolveSettings(lam=0.8, epsilon=1.0, grid_n=256)
-    )
+    report = gamma_sweep_I(LJ, [0.08, 0.04], SolveSettings(lam=0.8, epsilon=1.0, grid_n=256))
     for row in report.rows:
         assert row.energy == pytest.approx(0.0625, abs=1e-6)
         assert row.nearest_candidate == "homogeneous"
@@ -104,9 +100,7 @@ def test_sweep_I_compressed_bar_stays_homogeneous():
 
 
 def test_sweep_I_metadata_and_shape():
-    report = gamma_sweep_I(
-        1.0, LJ, [0.1, 0.05], 128, SolveSettings(lam=1.0, epsilon=1.0, grid_n=128)
-    )
+    report = gamma_sweep_I(LJ, [0.1, 0.05], SolveSettings(lam=1.0, epsilon=1.0, grid_n=128))
     assert report.metadata["functional"] == "I"
     assert [row.epsilon for row in report.rows] == [0.1, 0.05]
     assert all(math.isfinite(row.rescaled_energy) for row in report.rows)
@@ -114,7 +108,7 @@ def test_sweep_I_metadata_and_shape():
 
 def test_sweep_V_identity_load():
     report = gamma_sweep_V(
-        1.0, 200.0, LJ, [0.08, 0.04], 256, SolveSettings(lam=1.0, epsilon=1.0, grid_n=256)
+        LJ, [0.08, 0.04], SolveSettings(lam=1.0, epsilon=1.0, mu=200.0, grid_n=256)
     )
     last = report.rows[-1]
     assert last.rescaled_energy <= 1e-8
@@ -123,10 +117,7 @@ def test_sweep_V_identity_load():
 
 
 def test_sweep_V_without_foundation_matches_interface_cost():
-    report = gamma_sweep_V(
-        1.4, 0.0, LJ, [0.04, 0.02], 1000,
-        SolveSettings(lam=1.4, epsilon=1.0, grid_n=1000),
-    )
+    report = gamma_sweep_V(LJ, [0.04, 0.02], SolveSettings(lam=1.4, epsilon=1.0, grid_n=1000))
     last = report.rows[-1]
     assert last.transition_count == 1
     assert last.rescaled_energy == pytest.approx(C_LJ, rel=0.15)
@@ -135,10 +126,11 @@ def test_sweep_V_without_foundation_matches_interface_cost():
 
 
 def test_sweep_rejects_unsorted_epsilons():
+    settings = SolveSettings(lam=1.0, epsilon=1.0, grid_n=128)
     with pytest.raises(ValueError):
-        gamma_sweep_I(1.0, LJ, [0.01, 0.02], 128)
+        gamma_sweep_I(LJ, [0.01, 0.02], settings)
     with pytest.raises(ValueError):
-        gamma_sweep_I(1.0, LJ, [], 128)
+        gamma_sweep_I(LJ, [], settings)
 
 
 def test_scan_report_validates_lambda_order():

@@ -648,64 +648,37 @@ def test_minimize_energy_history_never_increases():
     assert np.all(np.diff(hist) <= 0.0)
 
 
-def test_minimize_respects_explicit_init():
-    settings = SolveSettings(lam=1.0, epsilon=0.05, grid_n=64)
-    init = DiscreteField(1.0, np.ones(65))
-    result = minimize("E", LJ, settings, init=init)
-    assert result.start_label == "user"
-    assert result.energy == pytest.approx(0.0, abs=1e-15)
-
-
-def test_minimize_named_strategy_and_determinism():
-    settings = SolveSettings(lam=1.2, epsilon=0.05, grid_n=128, multistart=1, seed=42)
-    a = minimize("E", LJ, settings, init="random-0")
-    b = minimize("E", LJ, settings, init="random-0")
-    assert a.start_label == "random-0"
-    assert np.array_equal(a.minimizer.values, b.minimizer.values)
-    with pytest.raises(ValueError):
-        minimize("E", LJ, settings, init="nope")
-
-
-def test_minimize_rejects_unknown_functional():
-    with pytest.raises(ValueError):
-        minimize("Q", LJ, SolveSettings(lam=1.0, epsilon=0.1, grid_n=32))
-
-
-def test_minimize_with_a_field_start_builds_no_battery(monkeypatch):
-    import fracture1d.regularized as regularized
-
-    calls = {"mollify": 0, "c_wstar": 0}
-
-    def counting(name, inner):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(
-        regularized, "mollify_sharp_candidate",
-        counting("mollify", regularized.mollify_sharp_candidate),
-    )
-    monkeypatch.setattr(regularized, "c_wstar", counting("c_wstar", regularized.c_wstar))
+def test_minimize_runs_a_warm_start_as_continuation():
     settings = SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=200, max_iterations=40)
-    init = DiscreteField(1.5, np.linspace(0.0, 1.0, 201) ** 2)
-    result = minimize("V", LJ, settings, init=init)
-    assert calls == {"mollify": 0, "c_wstar": 0}
+    # A longer solve from the same battery ends lower than every start of
+    # a 40-iteration one, so its minimizer wins as the warm start.
+    warm = minimize("V", LJ, dataclasses.replace(settings, max_iterations=400)).minimizer.values
+    result = minimize("V", LJ, settings, warm)
     kind = _FUNCTIONALS["V"]
     x, fx, iterations, converged, history = _descend(
-        init.values,
+        warm,
         lambda v: kind.energy(v, settings, LJ),
         lambda v: kind.gradient(v, settings, LJ),
         lambda v: kind.project(v, settings.lam),
         settings,
     )
-    assert result.start_label == "user"
+    assert result.start_label == "continuation"
     assert np.array_equal(result.minimizer.values, x)
     assert (result.energy, result.iterations, result.converged) == (fx, iterations, converged)
     assert result.energy_history == history
-    # A named start still comes from the battery.
-    minimize("V", LJ, settings, init="mollified-A4")
-    assert calls["mollify"] == 6 and calls["c_wstar"] == 1
+
+
+def test_minimize_is_deterministic_for_a_seed():
+    settings = SolveSettings(lam=1.2, epsilon=0.05, grid_n=128, multistart=1, seed=42)
+    a = minimize("E", LJ, settings)
+    b = minimize("E", LJ, settings)
+    assert a.start_label == b.start_label
+    assert np.array_equal(a.minimizer.values, b.minimizer.values)
+
+
+def test_minimize_rejects_unknown_functional():
+    with pytest.raises(ValueError):
+        minimize("Q", LJ, SolveSettings(lam=1.0, epsilon=0.1, grid_n=32))
 
 
 # ------------------------------------------------------------ descent
@@ -950,6 +923,8 @@ def test_settings_validation():
         SolveSettings(lam=1.0, epsilon=0.1, mu=-5.0)
     with pytest.raises(ValueError, match="multistart"):
         SolveSettings(lam=1.0, epsilon=0.1, multistart=-3)
+    with pytest.raises(ValueError, match="seed"):
+        SolveSettings(lam=1.0, epsilon=0.1, seed=-1)
     for bad in (math.nan, math.inf, -math.inf):
         for key in ("lam", "epsilon", "mu", "gtol"):
             with pytest.raises(ValueError, match=key):

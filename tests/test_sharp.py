@@ -401,6 +401,9 @@ def test_reconstruct_rejects_fractional_slopes():
     field = PiecewiseLinearField(1.4, (0.0, 1.4), (0.0, 1.0))
     with pytest.raises(DomainError):
         reconstruct_deformation(field)
+    # An inverse stretch is not an inverse deformation.
+    with pytest.raises(DomainError, match="piecewise-linear"):
+        reconstruct_deformation(PiecewiseConstantField(1.5, (1.0,), (1.0, 0.0)))
 
 
 def test_jump_count_one_to_one_with_plateaus():
