@@ -18,11 +18,12 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import harness, serialize
 from .material import (
+    QUADRATURE_TOL,
     MaterialModel,
     NonConvergence,
     c_wstar,
@@ -64,6 +65,9 @@ class _Option:
         return "--" + self.key.replace("_", "-")
 
 
+# The library's solve defaults, which the solve options share.
+_SOLVE_DEFAULTS = {f.name: f.default for f in fields(SolveSettings)}
+
 # The one table of settings: it generates the parsers, the config
 # validation and the defaults.  ``functional`` has one entry per command
 # because the two commands accept different letters.
@@ -71,18 +75,17 @@ _OPTIONS = (
     _Option("model", str, ("cwstar", "sharp", "scan") + _SOLVES, "lj",
             help="material model name (default lj)"),
     _Option("out", str, _WRITERS, ".", help="output directory (default .)"),
-    _Option("abs_tol", float, ("cwstar",), 1e-10),
+    _Option("abs_tol", float, ("cwstar",), QUADRATURE_TOL),
     _Option("functional", str, ("minimize",), "V", ("E", "V"), "regularized functional"),
     _Option("functional", str, ("sweep",), "V", ("I", "V"), "sharp limit; I sweeps E"),
     _Option("lambda", float, ("sharp",) + _SOLVES),
-    _Option("mu", float, ("sharp", "scan") + _SOLVES, 0.0),
+    _Option("mu", float, ("sharp", "scan") + _SOLVES, _SOLVE_DEFAULTS["mu"]),
     _Option("epsilon", float, ("minimize",)),
     _Option("epsilons", str, ("sweep",), help="comma-separated decreasing list"),
-    _Option("grid", int, _SOLVES, 1000),
-    _Option("max_iterations", int, _SOLVES, 3000),
-    _Option("gtol", float, _SOLVES, 1e-8),
-    _Option("multistart", int, _SOLVES, 3),
-    _Option("seed", int, _SOLVES, 0),
+    _Option("grid", int, _SOLVES, _SOLVE_DEFAULTS["grid_n"]),
+    _Option("max_iterations", int, _SOLVES, _SOLVE_DEFAULTS["max_iterations"]),
+    _Option("multistart", int, _SOLVES, _SOLVE_DEFAULTS["multistart"]),
+    _Option("seed", int, _SOLVES, _SOLVE_DEFAULTS["seed"]),
     _Option("strict", bool, _SOLVES, False),
     _Option("lambda_min", float, ("scan",)),
     _Option("lambda_max", float, ("scan",)),
@@ -244,7 +247,6 @@ def _settings(merged) -> SolveSettings:
         mu=merged["mu"],
         grid_n=merged["grid"],
         max_iterations=merged["max_iterations"],
-        gtol=merged["gtol"],
         multistart=merged["multistart"],
         seed=merged["seed"],
     )

@@ -19,6 +19,7 @@ import numpy as np
 
 from .material import MaterialModel, c_wstar
 from .regularized import (
+    GTOL,
     SolveSettings,
     minimize,
     mm_lower_bound_H,
@@ -181,7 +182,7 @@ def _sweep(functional, model, epsilons, settings, references, nearest, lower_bou
         "model": model.name,
         "grid_n": settings.grid_n,
         "seed": settings.seed,
-        "gtol": settings.gtol,
+        "gtol": GTOL,
         "c_wstar": cw,
         "candidates": [name for name, _ in candidates],
     }
@@ -194,7 +195,8 @@ def gamma_sweep_I(
     """Sweep the interfacial functional toward its sharp limit.
 
     ``settings`` gives the load, the grid and the solver controls; its
-    epsilon is replaced row by row and its mu by 0, which E does not use.
+    epsilon is replaced row by row.  E does not use its mu, which the
+    metadata records as given.
     For stretched bars the references are the two single-crack fields;
     at lam = 1 the unbroken state and below it the homogeneous one, for
     which the sandwich diagnostics are skipped.
@@ -209,10 +211,7 @@ def gamma_sweep_I(
             ], cw
         return [("homogeneous", np.full(nodes.size, 1.0 / lam))], None
 
-    return _sweep(
-        "I", model, epsilons, replace(settings, mu=0.0), references, _nearest_by_l1,
-        mm_lower_bound_H,
-    )
+    return _sweep("I", model, epsilons, settings, references, _nearest_by_l1, mm_lower_bound_H)
 
 
 def gamma_sweep_V(

@@ -281,9 +281,11 @@ def adaptive_quadrature(f, a: float, b: float, abs_tol: float) -> tuple[float, f
     return total, sum(item[4] for item in heap)
 
 
-def surface_constant_quadrature(
-    model: MaterialModel, abs_tol: float = 1e-10
-) -> tuple[float, float]:
+# Absolute accuracy of c_wstar, and the default of ``cwstar --abs-tol``.
+QUADRATURE_TOL = 1e-10
+
+
+def surface_constant_quadrature(model: MaterialModel, abs_tol: float) -> tuple[float, float]:
     """Integral of sqrt(2*wstar) over [0, 1] with its error estimate."""
 
     def integrand(tau):
@@ -293,7 +295,8 @@ def surface_constant_quadrature(
     return adaptive_quadrature(integrand, 0.0, 1.0, abs_tol)
 
 
-def c_wstar(model: MaterialModel, abs_tol: float = 1e-10) -> float:
-    """Per-crack surface-energy constant of the sharp-interface limit."""
-    value, _ = surface_constant_quadrature(model, abs_tol)
+def c_wstar(model: MaterialModel) -> float:
+    """Per-crack surface-energy constant of the sharp-interface limit, to
+    within QUADRATURE_TOL."""
+    value, _ = surface_constant_quadrature(model, QUADRATURE_TOL)
     return value

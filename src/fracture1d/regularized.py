@@ -93,13 +93,18 @@ class DiscreteField:
         return np.diff(self.values) / self.spacing
 
 
+# epsilon**2 scales the gradient terms; it must stay a finite float.
+_EPSILON_MAX = float(np.sqrt(np.finfo(float).max))
+
+
 @dataclass
 class SolveSettings:
     """One solve: the load ``lam``, the regularization ``epsilon``, the
     foundation stiffness ``mu`` (V only), the number of grid cells, the
-    iteration cap and stationarity tolerance of each descent, and the
-    count and seed of the random starts.  The grid must resolve the
-    transition width; the line-search constants are fixed in ``_descend``.
+    iteration cap of each descent, and the count and seed of the random
+    starts.  The grid must resolve the transition width.  These defaults
+    are also the command line's.  The stationarity tolerance ``GTOL`` and
+    the line-search constants are fixed beside ``_descend``.
     """
 
     lam: float
@@ -107,21 +112,21 @@ class SolveSettings:
     mu: float = 0.0
     grid_n: int = 1000
     max_iterations: int = 1500
-    gtol: float = 1e-8
     multistart: int = 2
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.lam < np.inf:
             raise ValueError(f"lam must be positive and finite, got {self.lam!r}")
-        if not 0.0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if not 0.0 < self.epsilon < _EPSILON_MAX:
+            raise ValueError(
+                f"epsilon must be positive and below {_EPSILON_MAX:.4g} so that "
+                f"epsilon^2 is finite, got {self.epsilon!r}"
+            )
         if not 0.0 <= self.mu < np.inf:
             raise ValueError(f"mu must be nonnegative and finite, got {self.mu!r}")
         if self.grid_n < 16:
             raise ValueError("grid_n must be at least 16")
-        if not 0.0 < self.gtol < np.inf:
-            raise ValueError(f"gtol must be positive and finite, got {self.gtol!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.multistart < 0:
@@ -496,6 +501,10 @@ def _start_battery(
     return starts
 
 
+# Stationarity tolerance: a descent converges once
+# ||x - P(x - g)|| <= GTOL * (1 + ||g||).  Sweep metadata records it.
+GTOL = 1e-8
+
 # Step-length bounds and line-search constants of the descent.
 _STEP_INIT = 1.0
 _STEP_MIN = 1e-14
@@ -536,7 +545,7 @@ def _descend(
         # Math. Program. 39, 1987, Lemma 2.2): r(1) <= r(step) if step >= 1
         # and r(1) <= r(step) / step if step < 1, so ||x - xn|| / min(step, 1)
         # bounds the unit-step residual r(1) from above.
-        tol = settings.gtol * (1.0 + float(np.linalg.norm(gx)))
+        tol = GTOL * (1.0 + float(np.linalg.norm(gx)))
         if float(np.linalg.norm(x - xn)) / min(step, 1.0) <= tol:
             converged = True
             break
@@ -620,7 +629,8 @@ def minimize(
     perturbations.  ``warm``, the node values of an earlier solve (a
     sweep's previous row), joins it last as the start labelled
     "continuation".  Results never raise on non-convergence; check the
-    ``converged`` flag.
+    ``converged`` flag.  An epsilon so small that the rescaled energy
+    overflows raises ValueError.
     """
     kind = _FUNCTIONALS.get(functional.upper())
     if kind is None:
@@ -642,11 +652,18 @@ def minimize(
             best = (x, fx, iterations, converged, history, label)
 
     x, fx, iterations, converged, history, label = best
+    with np.errstate(over="ignore"):
+        rescaled = fx / settings.epsilon
+    if not np.isfinite(rescaled):
+        raise ValueError(
+            f"epsilon {settings.epsilon!r} makes the rescaled energy "
+            f"{float(fx)!r} / epsilon overflow"
+        )
     out = DiscreteField(settings.lam, x)
     return SolveResult(
         minimizer=out,
         energy=fx,
-        rescaled_energy=fx / settings.epsilon,
+        rescaled_energy=rescaled,
         iterations=iterations,
         transition_count=kind.transitions(out),
         converged=converged,

@@ -399,33 +399,24 @@ def build_sharp_minimizer(
     )
 
 
-def brute_force_segments(
-    n: int,
-    lam: float,
-    c_wstar: float,
-    mu: float,
-    resolution: int = 100,
-    target_spacing: float | None = None,
-    max_passes: int = 60,
-) -> BruteForceResult:
+def brute_force_segments(n: int, lam: float, c_wstar: float, mu: float) -> BruteForceResult:
     """Minimize the n-segment energy over the free lengths by nested grids.
 
     The first n-1 lengths are free on the simplex {l >= 0, sum <= lam};
-    each pass lays ``resolution`` points per axis (capped so a pass stays
-    near 1e6 evaluations), then recentres a shrunken box on the argmin.
-    Serves as the independent oracle for the equal-spacing claim.
+    each pass lays 100 points per axis (capped so a pass stays near 1e6
+    evaluations), then recentres a shrunken box on the argmin, until the
+    spacing reaches 1e-8 * lam.  Serves as the independent oracle for the
+    equal-spacing claim.
     """
     if not 2 <= n <= 6:
         raise DomainError("brute force supports 2 <= n <= 6 segments")
-    if resolution < 100:
-        raise DomainError("resolution must be at least 100 points per axis")
     if not lam > 1.0:
         raise DomainError("brute force requires lambda > 1")
-    if target_spacing is None:
-        target_spacing = 1e-8 * lam
 
+    max_passes = 60
+    target_spacing = 1e-8 * lam
     dims = n - 1
-    per_axis = min(resolution, max(9, int((1.2e6) ** (1.0 / dims))))
+    per_axis = min(100, max(9, int((1.2e6) ** (1.0 / dims))))
     factor = mu * (lam - 1.0) ** 2 / (6.0 * lam**3)
 
     lo = np.zeros(dims)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -5,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracture1d import cli, harness
 from fracture1d.cli import main
 from fracture1d.material import builtin_lj
-from fracture1d.regularized import DiscreteField
+from fracture1d.regularized import DiscreteField, SolveSettings
 from fracture1d.serialize import (
     discrete_csv,
     field_to_text,
@@ -225,6 +227,40 @@ def test_cli_sweep_small_ladder(tmp_path):
     assert payload["metadata"]["functional"] == "I"
 
 
+def test_cli_sweep_I_records_the_mu_in_its_file_name(tmp_path):
+    rc = main([
+        "sweep", "--functional", "I", "--lambda", "0.8", "--mu", "5", "--epsilons", "0.1",
+        "--grid", "32", "--max-iterations", "5", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    payload = json.loads((tmp_path / "sweep_I_lambda0.8_mu5.json").read_text())
+    assert payload["metadata"]["mu"] == 5.0
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["minimize", "--lambda", "1.4", "--epsilon", "0.05"], (cli, "run_minimize")),
+        (["sweep", "--lambda", "1.4", "--epsilons", "0.05"], (harness, "gamma_sweep_V")),
+    ],
+    ids=["minimize", "sweep"],
+)
+def test_cli_solve_defaults_are_the_library_defaults(tmp_path, monkeypatch, argv, target):
+    seen = []
+
+    def capture(*args):
+        seen.append(next(a for a in args if isinstance(a, SolveSettings)))
+        raise ValueError("captured")
+
+    monkeypatch.setattr(*target, capture)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    (settings,) = seen
+    for f in dataclasses.fields(SolveSettings):
+        if f.name not in ("lam", "epsilon", "mu"):
+            assert getattr(settings, f.name) == f.default, f.name
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_sweep_rejects_increasing_ladder(tmp_path):
     out = tmp_path / "out"
     rc = main([
@@ -390,7 +426,9 @@ _FIELD = Path(__file__).parent / "golden" / "sharp-reconstruct" / "sharp_lambda1
         pytest.param(f"{_MINIMIZE} --epsilon nan", "epsilon", id="minimize-epsilon-nan"),
         pytest.param(f"{_MINIMIZE} --epsilon 0", "epsilon", id="minimize-epsilon-0"),
         pytest.param(f"{_MINIMIZE} --mu nan", "mu", id="minimize-mu-nan"),
-        pytest.param(f"{_MINIMIZE} --gtol nan", "gtol", id="minimize-gtol-nan"),
+        pytest.param(f"{_MINIMIZE} --epsilon 1e200", "epsilon", id="minimize-epsilon-squared-overflows"),
+        # E / epsilon overflows once the descent is done, before any write.
+        pytest.param(f"{_MINIMIZE} --epsilon 1e-320", "epsilon", id="minimize-rescaled-overflows"),
         pytest.param(f"{_MINIMIZE} --multistart -3", "multistart", id="minimize-multistart"),
         pytest.param(
             "minimize --functional V --lambda 1.5 --mu 200 --epsilon 0.05 --grid 32 --seed -1",
@@ -405,6 +443,7 @@ _FIELD = Path(__file__).parent / "golden" / "sharp-reconstruct" / "sharp_lambda1
         pytest.param("scan --mu 200", "missing required settings", id="scan-missing"),
         pytest.param(f"{_SWEEP} --epsilons 0.1,nan", "epsilons", id="sweep-epsilons-nan"),
         pytest.param(f"{_SWEEP} --epsilons 0.05,0.1", "epsilons", id="sweep-epsilons-increasing"),
+        pytest.param(f"{_SWEEP} --epsilons 1e200", "epsilon", id="sweep-epsilon-squared-overflows"),
         pytest.param(f"{_SWEEP} --multistart -3", "multistart", id="sweep-multistart"),
         pytest.param(f"{_SWEEP} --seed -1", "seed", id="sweep-seed-negative"),
         pytest.param("sweep --lambda 1", "missing required settings", id="sweep-missing"),

@@ -74,17 +74,17 @@ def test_growth_check_rejects_small_sample_counts():
 
 
 def test_c_wstar_lj_value():
-    assert c_wstar(builtin_lj(), 1e-10) == pytest.approx(C_LJ, abs=1e-10)
+    assert c_wstar(builtin_lj()) == pytest.approx(C_LJ, abs=1e-10)
 
 
 def test_c_wstar_zero_model():
-    assert c_wstar(zero_model(), 1e-10) == 0.0
+    assert c_wstar(zero_model()) == 0.0
 
 
 def test_c_wstar_quartic_closed_form():
     # Integrand 2*tau*(1 - tau), closed-form integral 1/3.
     quartic = polynomial_model("quartic", [0.0, 0.0, 2.0, -4.0, 2.0])
-    assert c_wstar(quartic, 1e-10) == pytest.approx(1.0 / 3.0, abs=1e-10)
+    assert c_wstar(quartic) == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
 def test_quadrature_error_estimate_brackets_truth():
@@ -95,15 +95,15 @@ def test_quadrature_error_estimate_brackets_truth():
 def test_quadrature_consistency_under_tightening():
     lj = builtin_lj()
     tols = [1e-4 / 2**k for k in range(0, 22, 3)]
-    finest = c_wstar(lj, tols[-1] / 8.0)
-    dist = [abs(c_wstar(lj, t) - finest) for t in tols]
+    finest, _ = surface_constant_quadrature(lj, tols[-1] / 8.0)
+    dist = [abs(surface_constant_quadrature(lj, t)[0] - finest) for t in tols]
     for coarser, finer in zip(dist, dist[1:]):
         assert finer <= coarser + 2e-15
 
 
 def test_quadrature_nonconvergence_at_absurd_tolerance():
     with pytest.raises(NonConvergence) as info:
-        c_wstar(builtin_lj(), 1e-30)
+        surface_constant_quadrature(builtin_lj(), 1e-30)
     assert info.value.value == pytest.approx(C_LJ, abs=1e-10)
 
 
@@ -138,7 +138,7 @@ def test_polynomial_model_reproduces_lj():
     poly = polynomial_model("lj-poly", [0.0, 1.0, -2.0, 1.0])
     h = np.linspace(0.0, 3.0, 301)
     assert np.max(np.abs(poly.wstar(h) - builtin_lj().wstar(h))) < 1e-12
-    assert c_wstar(poly, 1e-10) == pytest.approx(C_LJ, abs=1e-10)
+    assert c_wstar(poly) == pytest.approx(C_LJ, abs=1e-10)
 
 
 def test_polynomial_model_rejects_missing_well():

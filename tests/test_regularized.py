@@ -10,6 +10,7 @@ import pytest
 from fracture1d.material import builtin_lj, c_wstar
 from fracture1d.regularized import (
     DiscreteField,
+    GTOL,
     Infeasible,
     OverlapWarning,
     SolveSettings,
@@ -700,7 +701,7 @@ def _descend_oracle(x0, energy, gradient, proj, settings):
     stall_window = 30
     for iterations in range(1, settings.max_iterations + 1):
         pg = x - proj(x - gx)
-        if float(np.linalg.norm(pg)) <= settings.gtol * (1.0 + float(np.linalg.norm(gx))):
+        if float(np.linalg.norm(pg)) <= GTOL * (1.0 + float(np.linalg.norm(gx))):
             converged = True
             break
         if x_prev is not None:
@@ -878,7 +879,7 @@ def test_backtracking_makes_no_projection(functional, settings):
     ],
 )
 def test_a_converged_descent_meets_the_unit_step_residual(functional, settings):
-    """``converged`` promises ||x - P(x - g)|| <= gtol (1 + ||g||) at the
+    """``converged`` promises ||x - P(x - g)|| <= GTOL (1 + ||g||) at the
     returned point.  The descent decides it from its first trial, so check
     it here with the projection the descent no longer makes."""
     kind = _FUNCTIONALS[functional]
@@ -887,7 +888,7 @@ def test_a_converged_descent_meets_the_unit_step_residual(functional, settings):
         if conv:
             g = kind.gradient(x, settings, LJ)
             residual = np.linalg.norm(x - kind.project(x - g, settings.lam))
-            assert residual <= settings.gtol * (1.0 + np.linalg.norm(g))
+            assert residual <= GTOL * (1.0 + np.linalg.norm(g))
             converged += 1
     assert converged
 
@@ -925,8 +926,13 @@ def test_settings_validation():
         SolveSettings(lam=1.0, epsilon=0.1, multistart=-3)
     with pytest.raises(ValueError, match="seed"):
         SolveSettings(lam=1.0, epsilon=0.1, seed=-1)
+    # epsilon**2 would overflow: 1.35e154 is just above sqrt(float max).
+    for big in (1.35e154, 1e200):
+        with pytest.raises(ValueError, match="epsilon"):
+            SolveSettings(lam=1.0, epsilon=big)
+    assert SolveSettings(lam=1.0, epsilon=1e154).epsilon == 1e154
     for bad in (math.nan, math.inf, -math.inf):
-        for key in ("lam", "epsilon", "mu", "gtol"):
+        for key in ("lam", "epsilon", "mu"):
             with pytest.raises(ValueError, match=key):
                 SolveSettings(**{"lam": 1.0, "epsilon": 0.1, key: bad})
     assert SolveSettings(lam=1.0, epsilon=0.1, multistart=0).multistart == 0

@@ -371,8 +371,6 @@ def test_brute_force_degenerate_zero_stiffness():
 def test_brute_force_rejects_bad_arguments():
     with pytest.raises(DomainError):
         brute_force_segments(7, 1.5, C_LJ, 200.0)
-    with pytest.raises(DomainError):
-        brute_force_segments(3, 1.5, C_LJ, 200.0, resolution=50)
 
 
 # ---------------------------------------------------------------- reconstruction
