@@ -3,7 +3,9 @@
 Fields live on a uniform node grid.  Both functionals are minimized by
 projected gradient descent with Barzilai-Borwein steps safeguarded by
 backtracking along the projected direction; the one projection per
-iteration also certifies convergence.  Exact projections (Michelot's
+iteration also certifies convergence.  A descent stops when that
+stationarity test holds, at its iteration cap, or when no step passes
+the line search.  Exact projections (Michelot's
 active-set shift for the mass constraint, pool-adjacent-violators for
 monotonicity) and convex combinations of feasible points keep every
 iterate feasible, so energies are meaningful throughout.
@@ -16,7 +18,6 @@ results report both.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -24,6 +25,8 @@ import numpy as np
 
 from .material import MaterialModel, c_wstar
 from .sharp import (
+    FEASIBILITY_TOL,
+    SLOPE_JUMP_TOL,
     PiecewiseConstantField,
     PiecewiseLinearField,
     build_sharp_minimizer,
@@ -35,7 +38,6 @@ __all__ = [
     "SolveSettings",
     "SolveResult",
     "Infeasible",
-    "OverlapWarning",
     "eval_E_eps",
     "grad_E_eps",
     "project_H",
@@ -56,10 +58,6 @@ __all__ = [
 
 class Infeasible(ValueError):
     """The requested projection target set is empty."""
-
-
-class OverlapWarning(UserWarning):
-    """Adjacent transition profiles were truncated against each other."""
 
 
 @dataclass
@@ -383,7 +381,7 @@ def _jump_positions(pc: PiecewiseConstantField) -> list[tuple[float, float, floa
     out = []
     for i, b in enumerate(pc.breakpoints):
         left, right = pc.values[i], pc.values[i + 1]
-        if abs(right - left) > 1e-12:
+        if abs(right - left) > FEASIBILITY_TOL:
             out.append((b, left, right))
     return out
 
@@ -402,13 +400,6 @@ def _mollify_step_values(
     reach = max(-offsets[1], offsets[-2])
     centers = [b for b, _, _ in jumps]
     for i, (b, left, right) in enumerate(jumps):
-        if i + 1 < len(centers) and centers[i + 1] - b < 10.0 * epsilon:
-            warnings.warn(
-                f"transitions at y={b:g} and y={centers[i + 1]:g} are closer "
-                f"than 10*epsilon; profiles truncated",
-                OverlapWarning,
-                stacklevel=3,
-            )
         lo = b - reach if i == 0 else max(b - reach, 0.5 * (centers[i - 1] + b))
         hi = b + reach if i + 1 == len(centers) else min(b + reach, 0.5 * (b + centers[i + 1]))
         mask = (points >= lo) & (points <= hi)
@@ -443,7 +434,7 @@ def mollify_sharp_candidate(
     knots = sharp_field.knots
     breaks, vals = [], [float(slopes[0])]
     for i in range(1, len(slopes)):
-        if abs(slopes[i] - vals[-1]) > 1e-9:
+        if abs(slopes[i] - vals[-1]) > SLOPE_JUMP_TOL:
             breaks.append(knots[i])
             vals.append(float(slopes[i]))
     slope_pc = PiecewiseConstantField(lam, tuple(breaks), tuple(vals))
@@ -490,11 +481,9 @@ def _start_battery(
     lam, n = settings.lam, settings.grid_n
     starts = [("homogeneous", kind.start(lam, np.zeros(n + 1)))]
     if lam > 1.0 + 1e-12:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OverlapWarning)
-            for label, sharp in kind.sharp_candidates(model, settings):
-                cand = mollify_sharp_candidate(sharp, settings.epsilon, model, n)
-                starts.append((label, cand.values))
+        for label, sharp in kind.sharp_candidates(model, settings):
+            cand = mollify_sharp_candidate(sharp, settings.epsilon, model, n)
+            starts.append((label, cand.values))
     rng = np.random.default_rng(settings.seed)
     for i in range(settings.multistart):
         starts.append((f"random-{i}", kind.start(lam, _smooth_noise(rng, n + 1))))
@@ -520,15 +509,25 @@ def _descend(
     proj: Callable[[np.ndarray], np.ndarray],
     settings: SolveSettings,
 ) -> tuple[np.ndarray, float, int, bool, list[float]]:
+    """Projected gradient descent from x0.  It has three exits: the
+    stationarity test holds (converged), the iteration cap is reached, or
+    backtracking finds no step of sufficient decrease."""
     x = proj(np.asarray(x0, dtype=float))
-    fx = energy(x)
-    gx = gradient(x)
+    # epsilon^2 / d scales the differences: near its bound it overflows,
+    # and an infinite ||g|| would pass the stationarity test at once.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = energy(x)
+        gx = gradient(x)
+        if not (np.isfinite(fx) and np.isfinite(np.linalg.norm(gx))):
+            raise ValueError(
+                f"epsilon {settings.epsilon!r} makes the energy or gradient of a "
+                f"start on {settings.grid_n} cells overflow"
+            )
     history = [fx]
     x_prev = g_prev = None
     step = _STEP_INIT
     converged = False
     iterations = 0
-    stall_window = 30
     for iterations in range(1, settings.max_iterations + 1):
         if x_prev is not None:
             s = x - x_prev
@@ -572,11 +571,6 @@ def _descend(
         x, fx = xn, fn
         gx = gradient(x)
         history.append(fx)
-        if (
-            len(history) > stall_window
-            and history[-stall_window - 1] - fx <= 1e-12 * (1.0 + abs(fx))
-        ):
-            break  # energy has flatlined; the gradient test decides convergence
     return x, fx, iterations, converged, history
 
 
@@ -629,8 +623,9 @@ def minimize(
     perturbations.  ``warm``, the node values of an earlier solve (a
     sweep's previous row), joins it last as the start labelled
     "continuation".  Results never raise on non-convergence; check the
-    ``converged`` flag.  An epsilon so small that the rescaled energy
-    overflows raises ValueError.
+    ``converged`` flag.  An epsilon so large that a start's energy or
+    gradient overflows, or so small that the rescaled energy does, raises
+    ValueError.
     """
     kind = _FUNCTIONALS.get(functional.upper())
     if kind is None:

@@ -405,6 +405,7 @@ _SHARP = "sharp --lambda 1.5 --mu 200"
 _SCAN = "scan --mu 200 --lambda-min 1 --lambda-max 2 --step 0.01"
 _MINIMIZE = "minimize --functional E --lambda 1.4 --epsilon 0.1 --grid 32 --max-iterations 5"
 _SWEEP = "sweep --functional I --lambda 0.8 --epsilons 0.1 --grid 32 --max-iterations 5"
+_HUGE_EPSILON = "minimize --lambda 1.5 --mu 200 --epsilon 1e153 --grid 32 --max-iterations 5"
 _NOT_A_DIR = "is not a directory"
 _FIELD = Path(__file__).parent / "golden" / "sharp-reconstruct" / "sharp_lambda1.5_mu200_variantA.field"
 
@@ -429,6 +430,13 @@ _FIELD = Path(__file__).parent / "golden" / "sharp-reconstruct" / "sharp_lambda1
         pytest.param(f"{_MINIMIZE} --epsilon 1e200", "epsilon", id="minimize-epsilon-squared-overflows"),
         # E / epsilon overflows once the descent is done, before any write.
         pytest.param(f"{_MINIMIZE} --epsilon 1e-320", "epsilon", id="minimize-rescaled-overflows"),
+        # Below that bound epsilon^2 / d still overflows a start's gradient.
+        pytest.param(
+            f"{_HUGE_EPSILON} --functional E", "epsilon", id="minimize-E-epsilon-gradient-overflows"
+        ),
+        pytest.param(
+            f"{_HUGE_EPSILON} --functional V", "epsilon", id="minimize-V-epsilon-gradient-overflows"
+        ),
         pytest.param(f"{_MINIMIZE} --multistart -3", "multistart", id="minimize-multistart"),
         pytest.param(
             "minimize --functional V --lambda 1.5 --mu 200 --epsilon 0.05 --grid 32 --seed -1",

@@ -12,7 +12,6 @@ from fracture1d.regularized import (
     DiscreteField,
     GTOL,
     Infeasible,
-    OverlapWarning,
     SolveSettings,
     _ARMIJO,
     _BACKTRACK,
@@ -91,8 +90,6 @@ def test_mollified_interface_gap_shrinks_with_epsilon():
 
 def test_mollified_sharp_minimizer_recovers_v4():
     sharp = build_sharp_minimizer(4, 1.5, "A", C_LJ, 200.0).field
-    with pytest.warns(OverlapWarning):
-        field = mollify_sharp_candidate(sharp, 0.08, LJ, 4000)
     field = mollify_sharp_candidate(sharp, 0.01, LJ, 4000)
     rescaled = eval_V_eps(field, 0.01, 200.0, LJ) / 0.01
     assert rescaled == pytest.approx(v_n(4, C_LJ, 200.0, 1.5), rel=0.05)
@@ -698,7 +695,6 @@ def _descend_oracle(x0, energy, gradient, proj, settings):
     step = _STEP_INIT
     converged = False
     iterations = 0
-    stall_window = 30
     for iterations in range(1, settings.max_iterations + 1):
         pg = x - proj(x - gx)
         if float(np.linalg.norm(pg)) <= GTOL * (1.0 + float(np.linalg.norm(gx))):
@@ -731,11 +727,6 @@ def _descend_oracle(x0, energy, gradient, proj, settings):
         x, fx = xn, fn
         gx = gradient(x)
         history.append(fx)
-        if (
-            len(history) > stall_window
-            and history[-stall_window - 1] - fx <= 1e-12 * (1.0 + abs(fx))
-        ):
-            break  # energy has flatlined; the gradient test decides convergence
     return x, fx, iterations, converged, history
 
 
@@ -799,6 +790,16 @@ def test_descend_is_bitwise_the_reference_at_the_iteration_cap(functional, setti
         _assert_descents_bitwise(mine, oracle)
     capped = [mine for _, mine, _ in runs if mine[2] == settings.max_iterations]
     assert capped and not any(m[3] for m in capped)
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.05])
+def test_every_descent_ends_converged_or_at_the_cap(epsilon):
+    """No flat stretch of energy ends a descent early: the unloaded bar's
+    random starts fall to ~1e-13 and keep improving until the
+    stationarity test holds, a hundred or so iterations later."""
+    settings = SolveSettings(lam=1.0, epsilon=epsilon, grid_n=128)
+    for label, (x, fx, iterations, converged, history) in _run_battery("E", settings):
+        assert converged or iterations == settings.max_iterations, label
 
 
 @pytest.mark.parametrize(
