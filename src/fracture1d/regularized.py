@@ -155,7 +155,7 @@ def eval_E_eps(h_field: DiscreteField, epsilon: float, model: MaterialModel) -> 
 
 
 def grad_E_eps(h_field: DiscreteField, epsilon: float, model: MaterialModel) -> np.ndarray:
-    return _e_grad(h_field.values, h_field.domain_length, epsilon, model)
+    return _e_grad_at(_e_geometry(h_field.values, h_field.domain_length), epsilon, model)
 
 
 def eval_V_eps(
@@ -173,7 +173,8 @@ def eval_V_eps(
 def grad_V_eps(
     h_field: DiscreteField, epsilon: float, mu: float, model: MaterialModel
 ) -> np.ndarray:
-    return _v_grad(h_field.values, h_field.domain_length, epsilon, mu, model)
+    lam = h_field.domain_length
+    return _v_grad_at(_v_geometry(h_field.values, lam), lam, epsilon, mu, model)
 
 
 def _trapezoid_weights(n_nodes: int, spacing: float) -> np.ndarray:
@@ -182,18 +183,30 @@ def _trapezoid_weights(n_nodes: int, spacing: float) -> np.ndarray:
     return a
 
 
+# Each functional's energy and gradient read the same geometry of a point,
+# so a descent can compute it once per accepted point (_Functional.paired).
+
+
+def _e_geometry(values, lam):
+    """Node values, cell width and node differences: what the E energy
+    and gradient share."""
+    return values, lam / (values.size - 1), np.diff(values)
+
+
 def _e_energy(values, lam, epsilon, model) -> float:
-    d = lam / (values.size - 1)
-    dif = np.diff(values)
+    return _e_energy_at(_e_geometry(values, lam), epsilon, model)
+
+
+def _e_energy_at(geometry, epsilon, model) -> float:
+    values, d, dif = geometry
     grad_term = (epsilon**2 / (2.0 * d)) * float(dif @ dif)
     w = model.wstar(values)
     well_term = d * (float(np.sum(w)) - 0.5 * (w[0] + w[-1]))
     return grad_term + well_term
 
 
-def _e_grad(values, lam, epsilon, model) -> np.ndarray:
-    d = lam / (values.size - 1)
-    dif = np.diff(values)
+def _e_grad_at(geometry, epsilon, model) -> np.ndarray:
+    values, d, dif = geometry
     g = np.zeros_like(values)
     g[:-1] -= (epsilon**2 / d) * dif
     g[1:] += (epsilon**2 / d) * dif
@@ -213,7 +226,11 @@ def _v_geometry(values, lam):
 
 
 def _v_energy(values, lam, epsilon, mu, model) -> float:
-    d, slopes, curv, misfit = _v_geometry(values, lam)
+    return _v_energy_at(_v_geometry(values, lam), epsilon, mu, model)
+
+
+def _v_energy_at(geometry, epsilon, mu, model) -> float:
+    d, slopes, curv, misfit = geometry
     bend = 0.5 * epsilon**2 * d * float(curv @ curv)
     well = d * float(np.sum(model.wstar(slopes)))
     # Stiffness k = epsilon * mu keeps the misfit term at unit order
@@ -222,9 +239,9 @@ def _v_energy(values, lam, epsilon, mu, model) -> float:
     return bend + well + foundation
 
 
-def _v_grad(values, lam, epsilon, mu, model) -> np.ndarray:
-    d, slopes, curv, misfit = _v_geometry(values, lam)
-    curv_full = np.zeros(values.size)
+def _v_grad_at(geometry, lam, epsilon, mu, model) -> np.ndarray:
+    d, slopes, curv, misfit = geometry
+    curv_full = np.zeros(slopes.size + 1)
     curv_full[1:-1] = curv
     g = -2.0 * curv_full
     g[:-1] += curv_full[1:]
@@ -273,39 +290,71 @@ def project_H(values: Sequence[float], lam: float) -> DiscreteField:
 
 
 def isotonic_regression(y: Sequence[float]) -> np.ndarray:
-    """Least-squares fit under a nondecreasing constraint (PAV)."""
+    """Least-squares fit under a nondecreasing constraint (PAV).
+
+    Pool-adjacent-violators pushes one element at a time and pools the
+    top block into the one below while the lower mean is the larger.
+    This loop visits only the stretches that pool: it starts at each drop
+    y[k] > y[k + 1] not yet pooled, keeps one block open, pools it back
+    into the elements and closed blocks below and absorbs the elements
+    after it while they lie below its mean.  Every other element is its
+    own fit and keeps its input value.  The merges are the one-at-a-time
+    loop's, (M * C + m * c) / (C + c) with the lower block first, in the
+    same order, so the result is bitwise that loop's.
+    """
     y = np.asarray(y, dtype=float)
-    n = y.size
-    drops = np.flatnonzero(y[:-1] > y[1:])
-    if drops.size == 0:
-        return y.copy()
-    # Stack of pooled blocks on plain floats; numpy scalars are too slow here.
-    # A block's size is its weight.
+    out = y.copy()
+    drops = np.flatnonzero(y[:-1] > y[1:]).tolist()
+    if not drops:
+        return out
+    # Plain floats: numpy scalars are too slow here.  A block's size is
+    # its weight.  Closed blocks stack left to right, each as
+    # (start, mean, size); below_end is where the top one ends.
     ylist = y.tolist()
-    # run_end[k]: last index of the nondecreasing run holding k, found by the
-    # same comparison the merge test makes.
-    run_end = np.append(drops, n - 1)[np.searchsorted(drops, np.arange(n))].tolist()
-    means, counts = [], []
-    i = 0
-    while i < n:
-        m, c = ylist[i], 1
-        merged = False
-        while means and means[-1] > m:
-            c_prev = counts.pop()
-            m = (means.pop() * c_prev + m * c) / (c_prev + c)
-            c += c_prev
-            merged = True
-        means.append(m)
-        counts.append(c)
-        i += 1
-        if not merged:
-            # Nothing was pooled, so the rest of the run pushes as
-            # singletons that pool with nothing: take it in one step.
-            end = run_end[i - 1] + 1
-            means += ylist[i:end]
-            counts += [1] * (end - i)
-            i = end
-    return np.repeat(means, counts)
+    n = len(ylist)
+    closed = []
+    below_end = 0
+    j = 0  # the first element no block has reached
+    for k in drops:
+        if k < j:
+            continue  # inside a pooled block, or the drop a block closed at
+        s, m, c = k + 1, ylist[k + 1], 1
+        j = k + 2
+        while True:
+            # Pool back: unpooled elements come straight from the input.
+            # pm ends as the mean below the open block.
+            while s:
+                if s == below_end:
+                    _, pm, pc = closed[-1]
+                    if pm <= m:
+                        break
+                    closed.pop()
+                    below_end = closed[-1][0] + closed[-1][2] if closed else 0
+                else:
+                    pm = ylist[s - 1]
+                    if pm <= m:
+                        break
+                    pc = 1
+                m = (pm * pc + m * c) / (pc + c)
+                c += pc
+                s -= pc
+            else:
+                pm = -np.inf
+            # Absorb forward (y * 1 is y, so that merge needs no product)
+            # until the block closes or its mean falls below pm.
+            while j < n and m > ylist[j]:
+                m = (m * c + ylist[j]) / (c + 1)
+                c += 1
+                j += 1
+                if pm > m:
+                    break
+            else:
+                break
+        closed.append((s, m, c))
+        below_end = j
+    for s, m, c in closed:
+        out[s : s + c] = m
+    return out
 
 
 def project_h(values: Sequence[float], lam: float) -> DiscreteField:
@@ -577,20 +626,46 @@ def _descend(
 class _Functional(NamedTuple):
     """What the solver needs to know about one regularized functional."""
 
-    energy: Callable  # (values, settings, model) -> float
-    gradient: Callable  # (values, settings, model) -> node gradient
+    geometry: Callable  # (values, lam) -> what the energy and gradient share
+    energy_at: Callable  # (geometry, settings, model) -> float
+    gradient_at: Callable  # (geometry, settings, model) -> node gradient
     project: Callable  # (values, lam) -> feasible values
     start: Callable  # (lam, noise) -> homogeneous state perturbed by noise
     sharp_candidates: Callable  # (model, settings) -> [(label, sharp field)]
     transitions: Callable  # DiscreteField -> transition count
+
+    def energy(self, values, settings, model) -> float:
+        return self.energy_at(self.geometry(values, settings.lam), settings, model)
+
+    def gradient(self, values, settings, model) -> np.ndarray:
+        return self.gradient_at(self.geometry(values, settings.lam), settings, model)
+
+    def paired(self, settings, model):
+        """Energy and gradient closures for one solve.  The gradient at the
+        very array whose energy was taken last reuses that array's
+        geometry.  ``_descend`` differentiates only the trial it just
+        accepted, so every accepted point costs one geometry."""
+        last = [None, None]
+
+        def energy(values):
+            last[:] = values, self.geometry(values, settings.lam)
+            return self.energy_at(last[1], settings, model)
+
+        def gradient(values):
+            if values is last[0]:
+                return self.gradient_at(last[1], settings, model)
+            return self.gradient(values, settings, model)
+
+        return energy, gradient
 
 
 # Projections are looked up when called, so they can be replaced at
 # their module-level names.
 _FUNCTIONALS = {
     "E": _Functional(
-        energy=lambda v, s, model: _e_energy(v, s.lam, s.epsilon, model),
-        gradient=lambda v, s, model: _e_grad(v, s.lam, s.epsilon, model),
+        geometry=_e_geometry,
+        energy_at=lambda geo, s, model: _e_energy_at(geo, s.epsilon, model),
+        gradient_at=lambda geo, s, model: _e_grad_at(geo, s.epsilon, model),
         project=lambda v, lam: project_H(v, lam).values,
         start=lambda lam, noise: (1.0 / lam) * (1.0 + 0.6 * noise),
         sharp_candidates=lambda model, s: [
@@ -600,8 +675,9 @@ _FUNCTIONALS = {
         transitions=lambda f: transition_count_values(f.values),
     ),
     "V": _Functional(
-        energy=lambda v, s, model: _v_energy(v, s.lam, s.epsilon, s.mu, model),
-        gradient=lambda v, s, model: _v_grad(v, s.lam, s.epsilon, s.mu, model),
+        geometry=_v_geometry,
+        energy_at=lambda geo, s, model: _v_energy_at(geo, s.epsilon, s.mu, model),
+        gradient_at=lambda geo, s, model: _v_grad_at(geo, s.lam, s.epsilon, s.mu, model),
         project=lambda v, lam: project_h(v, lam).values,
         start=lambda lam, noise: np.linspace(0.0, 1.0, noise.size) + 0.25 * noise,
         sharp_candidates=_sharp_neighbours,
@@ -630,8 +706,7 @@ def minimize(
     kind = _FUNCTIONALS.get(functional.upper())
     if kind is None:
         raise ValueError("functional must be 'E' or 'V'")
-    energy = lambda v: kind.energy(v, settings, model)
-    gradient = lambda v: kind.gradient(v, settings, model)
+    energy, gradient = kind.paired(settings, model)
     proj = lambda v: kind.project(v, settings.lam)
 
     starts = _start_battery(kind, model, settings)

@@ -366,6 +366,22 @@ def test_isotonic_regression_is_bitwise_the_reference_loop_on_random_input():
     for n in sizes:
         y = np.cumsum(rng.standard_normal(n)) * rng.uniform(0.01, 3.0)
         _assert_pav_bitwise(y)
+    # A spike before a noisy flat plateau with a dip: the block opened at
+    # the spike absorbs the 400 plateau elements forward, then pools back
+    # into the closed block (0.6, 0.4) at the start.
+    plateau = 0.45 + 1e-3 * np.random.default_rng(47).standard_normal(400)
+    _assert_pav_bitwise(np.concatenate([[0.6, 0.4, 0.55, 0.56, 3.0], plateau, [0.3, 0.8, 0.9]]))
+
+
+def test_isotonic_regression_is_bitwise_the_reference_loop_on_the_V_descent():
+    """Every interior that project_h hands to PAV in a short V battery."""
+    settings = SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=200, max_iterations=60)
+    interiors = []
+    for _ in _run_battery("V", settings, on_project=lambda v: interiors.append(v[1:-1].copy())):
+        pass
+    assert len(interiors) > 400
+    for y in interiors:
+        _assert_pav_bitwise(y)
 
 
 def test_isotonic_regression_is_bitwise_the_reference_loop_on_ties():
@@ -374,6 +390,12 @@ def test_isotonic_regression_is_bitwise_the_reference_loop_on_ties():
         _assert_pav_bitwise(np.round(rng.standard_normal(n), 1))
         _assert_pav_bitwise(np.round(np.linspace(0, 1, n) + 0.3 * rng.standard_normal(n), 2))
         _assert_pav_bitwise(np.full(n, 0.25))
+    # Elements exactly at the open block's mean are neither absorbed
+    # forward nor pooled back into; the merge test is strict.  Over these
+    # multiples of 0.03, a loop that pools on equality, forward or back
+    # into an element or a closed block, changes the bits.
+    _assert_pav_bitwise(np.array([1.0, 0.0, 0.5, 0.75, 0.25, 0.2, 0.9]))
+    _assert_pav_bitwise(np.array([3, 5, 1, 8, 2, 6, 4, 5, 3, 4]) / 10 * 0.3)
 
 
 def test_isotonic_regression_is_bitwise_the_reference_loop_on_ramps():
@@ -382,6 +404,10 @@ def test_isotonic_regression_is_bitwise_the_reference_loop_on_ramps():
         _assert_pav_bitwise(ramp)
         _assert_pav_bitwise(ramp[::-1])
         _assert_pav_bitwise(np.concatenate([ramp, ramp[::-1], ramp]))
+        # A drop at the last index pools back through the whole ramp.
+        _assert_pav_bitwise(np.append(ramp, -1.0))
+    # A drop at the last index whose block pools back into closed blocks.
+    _assert_pav_bitwise(np.array([0.2, 0.9, 0.1, 0.3, 0.6, 0.7, 0.65, 0.2, 0.8, 0.9, -1.0]))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 1000])
@@ -869,6 +895,21 @@ def test_backtracking_makes_no_projection(functional, settings):
     # Some trials backtracked, so the pattern was exercised.
     joined = "".join(logs)
     assert joined.count("E") > joined.count("G")
+
+
+def test_minimize_is_bitwise_the_best_descent_of_the_battery():
+    """``minimize`` hands the geometry of each accepted point from its
+    energy to its gradient; here every evaluation computes it afresh.
+    Equal bits over the whole battery show that no gradient reused the
+    geometry of a rejected trial."""
+    settings = SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=200, max_iterations=60)
+    result = minimize("V", LJ, settings)
+    runs = list(_run_battery("V", settings))
+    label, (x, fx, iterations, converged, history) = min(runs, key=lambda run: run[1][1])
+    assert result.start_label == label
+    assert np.array_equal(result.minimizer.values, x)
+    assert (result.energy, result.iterations, result.converged) == (fx, iterations, converged)
+    assert result.energy_history == history
 
 
 @pytest.mark.parametrize(
