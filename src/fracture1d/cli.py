@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -98,6 +99,9 @@ def _options(command: str) -> dict[str, _Option]:
     return {o.key: o for o in _OPTIONS if command in o.commands}
 
 
+# Parsing leaves the parser as it was, so one serves every main() call of
+# a process; it is built at the first call, not at import.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracture1d",

@@ -18,6 +18,8 @@ results report both.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -62,13 +64,31 @@ class Infeasible(ValueError):
 
 @dataclass
 class DiscreteField:
-    """Node values on the uniform grid y_j = j * domain_length / N."""
+    """Node values on the uniform grid y_j = j * domain_length / N.
+
+    The constructor stores a float copy of ``values``, so the caller may
+    go on changing its array.  The projections build a fresh array per
+    call and hand it over through ``_adopt``, which keeps it uncopied;
+    both check it the same way.
+    """
 
     domain_length: float
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).copy()
+        self._check()
+
+    @classmethod
+    def _adopt(cls, domain_length: float, values: np.ndarray) -> DiscreteField:
+        """A field holding ``values`` itself: a float array that the
+        caller has just built and shares with no one."""
+        out = object.__new__(cls)
+        out.domain_length, out.values = domain_length, values
+        out._check()
+        return out
+
+    def _check(self):
         if self.domain_length <= 0.0:
             raise ValueError("domain length must be positive")
         if self.values.ndim != 1 or self.values.size < 3:
@@ -183,6 +203,24 @@ def _trapezoid_weights(n_nodes: int, spacing: float) -> np.ndarray:
     return a
 
 
+class _Grid(NamedTuple):
+    """Constants of one grid, shared read-only by every call on it."""
+
+    weights: np.ndarray  # trapezoid weights of the nodes
+    weights_sq: float  # weights @ weights, Michelot's first denominator
+    midpoints: np.ndarray  # cell midpoints, where V samples its misfit
+
+
+# A sweep solves on one grid; eight entries bound what a process that
+# solves on many grids keeps.
+@functools.lru_cache(maxsize=8)
+def _grid(n_cells: int, d: float) -> _Grid:
+    weights = _trapezoid_weights(n_cells + 1, d)
+    midpoints = (np.arange(n_cells) + 0.5) * d
+    weights.flags.writeable = midpoints.flags.writeable = False
+    return _Grid(weights, weights @ weights, midpoints)
+
+
 # Each functional's energy and gradient read the same geometry of a point,
 # so a descent can compute it once per accepted point (_Functional.paired).
 
@@ -190,7 +228,7 @@ def _trapezoid_weights(n_nodes: int, spacing: float) -> np.ndarray:
 def _e_geometry(values, lam):
     """Node values, cell width and node differences: what the E energy
     and gradient share."""
-    return values, lam / (values.size - 1), np.diff(values)
+    return values, lam / (values.size - 1), values[1:] - values[:-1]
 
 
 def _e_energy(values, lam, epsilon, model) -> float:
@@ -207,10 +245,11 @@ def _e_energy_at(geometry, epsilon, model) -> float:
 
 def _e_grad_at(geometry, epsilon, model) -> np.ndarray:
     values, d, dif = geometry
+    scaled = (epsilon**2 / d) * dif
     g = np.zeros_like(values)
-    g[:-1] -= (epsilon**2 / d) * dif
-    g[1:] += (epsilon**2 / d) * dif
-    g += _trapezoid_weights(values.size, d) * model.wstar_prime(values)
+    g[:-1] -= scaled
+    g[1:] += scaled
+    g += _grid(values.size - 1, d).weights * model.wstar_prime(values)
     return g
 
 
@@ -219,9 +258,9 @@ def _v_geometry(values, lam):
     misfit at cell midpoints: what the V energy and gradient share."""
     n = values.size - 1
     d = lam / n
-    slopes = np.diff(values) / d
+    slopes = (values[1:] - values[:-1]) / d
     curv = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / d**2
-    misfit = (np.arange(n) + 0.5) * d - lam * 0.5 * (values[:-1] + values[1:])
+    misfit = _grid(n, d).midpoints - lam * 0.5 * (values[:-1] + values[1:])
     return d, slopes, curv, misfit
 
 
@@ -273,20 +312,24 @@ def project_H(values: Sequence[float], lam: float) -> DiscreteField:
     shrinks, and it never empties, since its terms sum to 1 > 0; the
     loop ends within n passes (2 on average and at most 6 in the
     criterion-6 sweep, N = 4001) at a point that meets the optimality
-    conditions, with weighted sum 1 to machine accuracy.
+    conditions, with weighted sum 1 to machine accuracy.  The weights and
+    their squared norm come from the per-grid cache ``_grid``, built once
+    per grid.  The result is a new array, never a view of ``values``.
     """
     if lam <= 0.0:
         raise Infeasible("cannot normalize the integral on a nonpositive domain")
     raw = np.asarray(values, dtype=float)
-    a = _trapezoid_weights(raw.size, lam / (raw.size - 1))
+    a, w_sq, _ = _grid(raw.size - 1, lam / (raw.size - 1))
     r, w = raw, a
     while True:
-        theta = (w @ r - 1.0) / (w @ w)
+        theta = (w @ r - 1.0) / w_sq
         keep = r > theta * w
         # Rounding can drop every node once a spike exceeds about 1e16 / a.
         if keep.all() or not keep.any():
-            return DiscreteField(lam, np.maximum(0.0, raw - theta * a))
+            h = raw - theta * a
+            return DiscreteField._adopt(lam, np.maximum(0.0, h, out=h))
         r, w = r[keep], w[keep]
+        w_sq = w @ w
 
 
 def isotonic_regression(y: Sequence[float]) -> np.ndarray:
@@ -301,24 +344,27 @@ def isotonic_regression(y: Sequence[float]) -> np.ndarray:
     own fit and keeps its input value.  The merges are the one-at-a-time
     loop's, (M * C + m * c) / (C + c) with the lower block first, in the
     same order, so the result is bitwise that loop's.
+
+    The loop reads plain Python floats, since numpy scalars are too slow
+    here.  It reads them through a memoryview of the contiguous input,
+    which copies nothing, where a list would box every element up front.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
     out = y.copy()
     drops = np.flatnonzero(y[:-1] > y[1:]).tolist()
     if not drops:
         return out
-    # Plain floats: numpy scalars are too slow here.  A block's size is
-    # its weight.  Closed blocks stack left to right, each as
-    # (start, mean, size); below_end is where the top one ends.
-    ylist = y.tolist()
-    n = len(ylist)
+    # A block's size is its weight.  Closed blocks stack left to right,
+    # each as (start, mean, size); below_end is where the top one ends.
+    ys = memoryview(y)
+    n = len(ys)
     closed = []
     below_end = 0
     j = 0  # the first element no block has reached
     for k in drops:
         if k < j:
             continue  # inside a pooled block, or the drop a block closed at
-        s, m, c = k + 1, ylist[k + 1], 1
+        s, m, c = k + 1, ys[k + 1], 1
         j = k + 2
         while True:
             # Pool back: unpooled elements come straight from the input.
@@ -331,7 +377,7 @@ def isotonic_regression(y: Sequence[float]) -> np.ndarray:
                     closed.pop()
                     below_end = closed[-1][0] + closed[-1][2] if closed else 0
                 else:
-                    pm = ylist[s - 1]
+                    pm = ys[s - 1]
                     if pm <= m:
                         break
                     pc = 1
@@ -342,8 +388,8 @@ def isotonic_regression(y: Sequence[float]) -> np.ndarray:
                 pm = -np.inf
             # Absorb forward (y * 1 is y, so that merge needs no product)
             # until the block closes or its mean falls below pm.
-            while j < n and m > ylist[j]:
-                m = (m * c + ylist[j]) / (c + 1)
+            while j < n and m > ys[j]:
+                m = (m * c + ys[j]) / (c + 1)
                 c += 1
                 j += 1
                 if pm > m:
@@ -364,12 +410,13 @@ def project_h(values: Sequence[float], lam: float) -> DiscreteField:
     clipped to [0, 1].  It is the limit of PAV over all nodes with end
     weights growing without bound: an interior block pooled into a fixed
     end takes that end's value, and clipping gives every block that would
-    have pooled into it the same value.
+    have pooled into it the same value.  The result is a new array,
+    never a view of ``values``.
     """
-    out = np.asarray(values, dtype=float).copy()
+    out = np.array(values, dtype=float)
     out[0], out[-1] = 0.0, 1.0
-    out[1:-1] = np.clip(isotonic_regression(out[1:-1]), 0.0, 1.0)
-    return DiscreteField(lam, out)
+    np.clip(isotonic_regression(out[1:-1]), 0.0, 1.0, out=out[1:-1])
+    return DiscreteField._adopt(lam, out)
 
 
 def transition_count_values(values: np.ndarray) -> int:
@@ -592,23 +639,26 @@ def _descend(
         # is nondecreasing in t and r(t) / t nonincreasing (Calamai & More,
         # Math. Program. 39, 1987, Lemma 2.2): r(1) <= r(step) if step >= 1
         # and r(1) <= r(step) / step if step < 1, so ||x - xn|| / min(step, 1)
-        # bounds the unit-step residual r(1) from above.
-        tol = GTOL * (1.0 + float(np.linalg.norm(gx)))
-        if float(np.linalg.norm(x - xn)) / min(step, 1.0) <= tol:
+        # bounds the unit-step residual r(1) from above.  The norms are
+        # np.linalg.norm's arithmetic for a 1-d float array.
+        tol = GTOL * (1.0 + math.sqrt(gx @ gx))
+        back = first = x - xn
+        if math.sqrt(first @ first) / min(step, 1.0) <= tol:
             converged = True
             break
         # Backtrack along the projected direction d = P(x - step g) - x
         # (Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000): x + t d is
         # feasible for t in (0, 1] by convexity, so no trial but the first
-        # needs a projection.
-        d = xn - x
+        # needs a projection.  d is -first exactly, so x - t * first is
+        # x + t * d to the bit.
         t = 1.0
         accepted = False
         for attempt in range(40):
             if attempt:
-                xn = x + t * d
+                xn = x - t * first
+                back = x - xn
             fn = energy(xn)
-            if fn <= fx - _ARMIJO * float(gx @ (x - xn)):
+            if fn <= fx - _ARMIJO * float(gx @ back):
                 accepted = True
                 break
             t *= _BACKTRACK

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +211,40 @@ def test_cli_minimize_rejects_negative_epsilon(tmp_path):
     ])
     assert rc == 2
     assert not out.exists()
+
+
+def test_cli_main_builds_its_parser_once_and_writes_what_a_fresh_process_writes(tmp_path):
+    """One parser serves every ``main`` call of a process.  Calls after
+    two rejected ones (an unknown flag, a bad value: both exit 2) write
+    the bytes a fresh interpreter writes."""
+    commands = [
+        ["sweep", "--functional", "V", "--lambda", "1.5", "--mu", "200",
+         "--epsilons", "0.1,0.05", "--grid", "32", "--max-iterations", "5"],
+        ["sharp", "--lambda", "1.5", "--mu", "200"],
+    ]
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["sharp", "--lambda", "1.5", "--grid", "32", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert main(["sharp", "--lambda", "inf", "--out", str(tmp_path / "x")]) == 2
+    here = tmp_path / "here"
+    for argv in commands:
+        assert main(argv + ["--out", str(here)]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+    fresh = tmp_path / "fresh"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv in commands:
+        subprocess.run(
+            [sys.executable, "-m", "fracture1d.cli", *argv, "--out", str(fresh)],
+            check=True, env=env, capture_output=True, timeout=120,
+        )
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(p.name for p in here.iterdir())
+    assert len(names) == 10
+    for name in names:
+        assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 # ------------------------------------------------------------ sweep

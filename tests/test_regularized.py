@@ -21,6 +21,7 @@ from fracture1d.regularized import (
     _STEP_MIN,
     _descend,
     _e_energy,
+    _grid,
     _start_battery,
     _trapezoid_weights,
     _v_energy,
@@ -589,6 +590,62 @@ def test_project_h_is_stable_under_small_noise():
     out = project_h(ramp + noise, 1.0).values
     # Projections are nonexpansive and the ramp is feasible.
     assert np.linalg.norm(out - ramp) <= np.linalg.norm(noise)
+
+
+@pytest.mark.parametrize("name, proj", [("H", project_H), ("h", project_h)])
+def test_projection_never_shares_memory_with_its_input(name, proj):
+    """The projections hand the array they build to ``DiscreteField``
+    uncopied, so it must be new on every call: not the input, not a view
+    of it, and unchanged when the caller writes to the input afterwards.
+    Feasible inputs, which project onto themselves, are included."""
+    rng = np.random.default_rng(67)
+    lam = 1.3
+    for n in (3, 17, 1001):
+        if name == "H":
+            raw = rng.uniform(0.0, 2.0, n)
+        else:
+            raw = np.sort(rng.uniform(-0.2, 1.2, n))
+        feasible = proj(raw, lam).values.copy()
+        strided = np.repeat(raw, 2)[::2]
+        for values in (raw, feasible, strided):
+            out = proj(values, lam).values
+            assert not np.shares_memory(out, values)
+            before = out.copy()
+            values[:] = -7.0
+            assert np.array_equal(out, before)
+    field = DiscreteField(lam, feasible)
+    assert not np.shares_memory(field.values, feasible)
+
+
+def test_per_grid_constants_are_read_only_and_unchanged_by_minimize():
+    """The trapezoid weights, their squared norm and V's cell midpoints are
+    built once per grid and shared by every call on it.  A write to them
+    raises, and a full solve of E and of V leaves them as built."""
+    runs = [
+        ("E", SolveSettings(lam=1.4, epsilon=0.05, grid_n=300, max_iterations=60)),
+        ("V", SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=200, max_iterations=60)),
+    ]
+    keys = [(s.grid_n, s.lam / s.grid_n) for _, s in runs]
+    grids = [_grid(*key) for key in keys]
+    copies = [(g.weights.copy(), g.weights_sq, g.midpoints.copy()) for g in grids]
+    hits = _grid.cache_info().hits
+    for functional, settings in runs:
+        minimize(functional, LJ, settings)
+    assert _grid.cache_info().hits > hits + 1000
+    for (n, d), grid, (weights, weights_sq, midpoints) in zip(keys, grids, copies):
+        assert _grid(n, d) is grid
+        for arr in (grid.weights, grid.midpoints):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert np.array_equal(grid.weights, weights)
+        assert grid.weights_sq == weights_sq
+        assert np.array_equal(grid.midpoints, midpoints)
+        # As the uncached code built them on every call.
+        assert np.array_equal(weights, _trapezoid_weights(n + 1, d))
+        assert weights_sq == weights @ weights
+        assert np.array_equal(midpoints, (np.arange(n) + 0.5) * d)
+    assert _grid.cache_info().maxsize is not None
 
 
 def test_projections_beat_random_feasible_points():
