@@ -33,7 +33,7 @@ from .material import (
     surface_constant_quadrature,
 )
 from .regularized import SolveSettings, minimize as run_minimize
-from .sharp import build_sharp_minimizer, crack_count, continuous_crack_estimate, reconstruct_deformation, v_n
+from .sharp import build_sharp_minimizer, crack_count, continuous_crack_estimate, reconstruct_deformation
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,11 +120,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str | None) -> configparser.ConfigParser:
+    """The parsed config file, with every value interpolated once so that
+    a malformed file is a ConfigError here and not a traceback later."""
     cp = configparser.ConfigParser()
     if path:
         if not Path(path).is_file():
             raise ConfigError(f"config file {path!r} not found")
-        cp.read(path)
+        try:
+            cp.read(path)
+            for section in cp.sections():
+                cp.items(section)
+        except configparser.Error as exc:
+            raise ConfigError(f"config file {path!r}: {exc}") from exc
     return cp
 
 
@@ -230,6 +237,7 @@ def _cmd_sharp(merged, config) -> int:
         _write(out / f"{stem}_deformation_{variant}.json", serialize.deformation_json(graph))
     cracks = {v: m.cracks for v, m in minimizers.items()}
     _write(out / f"{stem}_cracks.csv", serialize.cracks_csv(cracks))
+    energy = minimizers["A"].energy
     summary = {
         "lambda": lam,
         "mu": mu,
@@ -237,10 +245,10 @@ def _cmd_sharp(merged, config) -> int:
         "c_wstar": cw,
         "x": x,
         "n": n,
-        "energy": v_n(n, cw, mu, lam),
+        "energy": energy,
     }
     _write(out / f"{stem}.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"n={n} energy={v_n(n, cw, mu, lam):.12g} x={x:.12g}")
+    print(f"n={n} energy={energy:.12g} x={x:.12g}")
     return EXIT_OK
 
 

@@ -8,7 +8,10 @@ stationarity test holds, at its iteration cap, or when no step passes
 the line search.  Exact projections (Michelot's
 active-set shift for the mass constraint, pool-adjacent-violators for
 monotonicity) and convex combinations of feasible points keep every
-iterate feasible, so energies are meaningful throughout.
+iterate feasible, so energies are meaningful throughout.  Each
+functional is one record of kernels (geometry, energy, gradient,
+projection) that the descent calls itself: the gradient at an accepted
+point reads the geometry that the point's energy evaluation built.
 
 The foundation-coupled energy is the unrescaled one with interaction
 stiffness k = epsilon * mu; dividing by epsilon gives the quantity that
@@ -171,7 +174,7 @@ def eval_E_eps(h_field: DiscreteField, epsilon: float, model: MaterialModel) -> 
     Midpoint rule for the squared difference quotient, composite
     trapezoid for the well term.
     """
-    return _e_energy(h_field.values, h_field.domain_length, epsilon, model)
+    return _e_energy_at(_e_geometry(h_field.values, h_field.domain_length), epsilon, model)
 
 
 def grad_E_eps(h_field: DiscreteField, epsilon: float, model: MaterialModel) -> np.ndarray:
@@ -187,7 +190,7 @@ def eval_V_eps(
     evaluated at forward-difference slopes; the misfit term is sampled
     at cell midpoints.  Divide by epsilon for the rescaled value.
     """
-    return _v_energy(h_field.values, h_field.domain_length, epsilon, mu, model)
+    return _v_energy_at(_v_geometry(h_field.values, h_field.domain_length), epsilon, mu, model)
 
 
 def grad_V_eps(
@@ -222,17 +225,14 @@ def _grid(n_cells: int, d: float) -> _Grid:
 
 
 # Each functional's energy and gradient read the same geometry of a point,
-# so a descent can compute it once per accepted point (_Functional.paired).
+# so a descent computes it once per energy evaluation and hands an
+# accepted point's geometry on to its gradient.
 
 
 def _e_geometry(values, lam):
     """Node values, cell width and node differences: what the E energy
     and gradient share."""
     return values, lam / (values.size - 1), values[1:] - values[:-1]
-
-
-def _e_energy(values, lam, epsilon, model) -> float:
-    return _e_energy_at(_e_geometry(values, lam), epsilon, model)
 
 
 def _e_energy_at(geometry, epsilon, model) -> float:
@@ -262,10 +262,6 @@ def _v_geometry(values, lam):
     curv = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / d**2
     misfit = _grid(n, d).midpoints - lam * 0.5 * (values[:-1] + values[1:])
     return d, slopes, curv, misfit
-
-
-def _v_energy(values, lam, epsilon, mu, model) -> float:
-    return _v_energy_at(_v_geometry(values, lam), epsilon, mu, model)
 
 
 def _v_energy_at(geometry, epsilon, mu, model) -> float:
@@ -599,21 +595,21 @@ _BACKTRACK = 0.5
 
 
 def _descend(
-    x0: np.ndarray,
-    energy: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray], np.ndarray],
-    proj: Callable[[np.ndarray], np.ndarray],
-    settings: SolveSettings,
+    x0: np.ndarray, kind: _Functional, settings: SolveSettings, model: MaterialModel
 ) -> tuple[np.ndarray, float, int, bool, list[float]]:
-    """Projected gradient descent from x0.  It has three exits: the
-    stationarity test holds (converged), the iteration cap is reached, or
-    backtracking finds no step of sufficient decrease."""
-    x = proj(np.asarray(x0, dtype=float))
+    """Projected gradient descent on ``kind`` from x0.  It has three exits:
+    the stationarity test holds (converged), the iteration cap is reached,
+    or backtracking finds no step of sufficient decrease.  Each energy
+    evaluation builds its point's geometry, and the gradient at an
+    accepted point reads that geometry, so no gradient builds one."""
+    lam = settings.lam
+    x = kind.project(np.asarray(x0, dtype=float), lam)
     # epsilon^2 / d scales the differences: near its bound it overflows,
     # and an infinite ||g|| would pass the stationarity test at once.
     with np.errstate(over="ignore", invalid="ignore"):
-        fx = energy(x)
-        gx = gradient(x)
+        geometry = kind.geometry(x, lam)
+        fx = kind.energy_at(geometry, settings, model)
+        gx = kind.gradient_at(geometry, settings, model)
         if not (np.isfinite(fx) and np.isfinite(np.linalg.norm(gx))):
             raise ValueError(
                 f"epsilon {settings.epsilon!r} makes the energy or gradient of a "
@@ -633,7 +629,7 @@ def _descend(
                 step = min(max(float(s @ s) / sy, _STEP_MIN), _STEP_MAX)
             else:
                 step = min(2.0 * step, _STEP_MAX)
-        xn = proj(x - step * gx)
+        xn = kind.project(x - step * gx, lam)
         # Stationarity test ||x - P(x - g)|| <= tol from the first trial
         # alone.  For a projection onto a convex set, r(t) = ||x - P(x - t g)||
         # is nondecreasing in t and r(t) / t nonincreasing (Calamai & More,
@@ -657,7 +653,8 @@ def _descend(
             if attempt:
                 xn = x - t * first
                 back = x - xn
-            fn = energy(xn)
+            geometry = kind.geometry(xn, lam)
+            fn = kind.energy_at(geometry, settings, model)
             if fn <= fx - _ARMIJO * float(gx @ back):
                 accepted = True
                 break
@@ -668,7 +665,7 @@ def _descend(
             break  # no admissible descent step left at this precision
         x_prev, g_prev = x, gx
         x, fx = xn, fn
-        gx = gradient(x)
+        gx = kind.gradient_at(geometry, settings, model)
         history.append(fx)
     return x, fx, iterations, converged, history
 
@@ -683,30 +680,6 @@ class _Functional(NamedTuple):
     start: Callable  # (lam, noise) -> homogeneous state perturbed by noise
     sharp_candidates: Callable  # (model, settings) -> [(label, sharp field)]
     transitions: Callable  # DiscreteField -> transition count
-
-    def energy(self, values, settings, model) -> float:
-        return self.energy_at(self.geometry(values, settings.lam), settings, model)
-
-    def gradient(self, values, settings, model) -> np.ndarray:
-        return self.gradient_at(self.geometry(values, settings.lam), settings, model)
-
-    def paired(self, settings, model):
-        """Energy and gradient closures for one solve.  The gradient at the
-        very array whose energy was taken last reuses that array's
-        geometry.  ``_descend`` differentiates only the trial it just
-        accepted, so every accepted point costs one geometry."""
-        last = [None, None]
-
-        def energy(values):
-            last[:] = values, self.geometry(values, settings.lam)
-            return self.energy_at(last[1], settings, model)
-
-        def gradient(values):
-            if values is last[0]:
-                return self.gradient_at(last[1], settings, model)
-            return self.gradient(values, settings, model)
-
-        return energy, gradient
 
 
 # Projections are looked up when called, so they can be replaced at
@@ -756,18 +729,13 @@ def minimize(
     kind = _FUNCTIONALS.get(functional.upper())
     if kind is None:
         raise ValueError("functional must be 'E' or 'V'")
-    energy, gradient = kind.paired(settings, model)
-    proj = lambda v: kind.project(v, settings.lam)
-
     starts = _start_battery(kind, model, settings)
     if warm is not None:
         starts.append(("continuation", np.asarray(warm, float)))
 
     best = None
     for label, x0 in starts:
-        x, fx, iterations, converged, history = _descend(
-            x0, energy, gradient, proj, settings
-        )
+        x, fx, iterations, converged, history = _descend(x0, kind, settings, model)
         if best is None or fx < best[1]:
             best = (x, fx, iterations, converged, history, label)
 

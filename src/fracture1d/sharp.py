@@ -53,6 +53,13 @@ class BudgetExceeded(RuntimeError):
     """Grid refinement ran out of passes before reaching its target."""
 
 
+def _check_finite(domain_length: float, values) -> None:
+    """A field's domain length and values must be finite numbers: an
+    infinite one would make rounding bounds and energies infinite."""
+    if not (math.isfinite(domain_length) and all(map(math.isfinite, values))):
+        raise DomainError("a field's domain length and values must be finite")
+
+
 @dataclass(frozen=True)
 class PiecewiseConstantField:
     """Piecewise-constant inverse stretch on (0, domain_length).
@@ -69,6 +76,7 @@ class PiecewiseConstantField:
         lam = self.domain_length
         if not lam > 0.0:
             raise DomainError("domain length must be positive")
+        _check_finite(lam, self.values)
         if len(self.values) != len(self.breakpoints) + 1:
             raise DomainError("need exactly one value per subinterval")
         edges = (0.0,) + self.breakpoints + (lam,)
@@ -114,6 +122,7 @@ class PiecewiseLinearField:
     def __post_init__(self):
         if not self.domain_length > 0.0:
             raise DomainError("domain length must be positive")
+        _check_finite(self.domain_length, self.knot_values)
         if len(self.knots) != len(self.knot_values) or len(self.knots) < 2:
             raise DomainError("need matching knot and value lists of length >= 2")
         if self.knots[0] != 0.0 or self.knots[-1] != self.domain_length:
@@ -193,7 +202,6 @@ class SharpMinimizer:
     """
 
     n: int
-    segment_length: float
     variant: str
     energy: float
     field: PiecewiseLinearField
@@ -391,7 +399,6 @@ def build_sharp_minimizer(
     cracks = tuple((h, b - a) for a, b, h in field.plateaus())
     return SharpMinimizer(
         n=n,
-        segment_length=lam / n,
         variant=variant,
         energy=v_n(n, c_wstar, mu, lam),
         field=field,

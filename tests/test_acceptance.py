@@ -10,9 +10,10 @@ import pytest
 from fracture1d.harness import crack_scan, gamma_sweep_I, gamma_sweep_V
 from fracture1d.material import builtin_lj
 from fracture1d.regularized import (
+    DiscreteField,
     SolveSettings,
-    _e_energy,
-    _v_energy,
+    eval_E_eps,
+    eval_V_eps,
     grad_E_eps,
     grad_V_eps,
     minimize,
@@ -164,13 +165,15 @@ def test_criterion_09_gradient_suites():
             vm = field.values.copy()
             vp[i] += step
             vm[i] -= step
-            fd[i] = (_e_energy(vp, lam, eps, LJ) - _e_energy(vm, lam, eps, LJ)) / (2 * step)
+            e_plus = eval_E_eps(DiscreteField(lam, vp), eps, LJ)
+            e_minus = eval_E_eps(DiscreteField(lam, vm), eps, LJ)
+            fd[i] = (e_plus - e_minus) / (2 * step)
         worst_e = max(worst_e, float(np.max(np.abs(fd - g) / (1.0 + np.abs(fd)))))
 
         base = project_h(np.linspace(0, 1, 41) + 0.1 * rng.standard_normal(41), lam)
         values = base.values.copy()
         values[1:-1] += 0.01 * rng.random(39)
-        hf = type(base)(lam, values)
+        hf = DiscreteField(lam, values)
         g = grad_V_eps(hf, eps, mu, LJ)
         fd = np.zeros_like(g)
         for i in range(g.size):
@@ -178,7 +181,9 @@ def test_criterion_09_gradient_suites():
             vm = values.copy()
             vp[i] += step
             vm[i] -= step
-            fd[i] = (_v_energy(vp, lam, eps, mu, LJ) - _v_energy(vm, lam, eps, mu, LJ)) / (2 * step)
+            v_plus = eval_V_eps(DiscreteField(lam, vp), eps, mu, LJ)
+            v_minus = eval_V_eps(DiscreteField(lam, vm), eps, mu, LJ)
+            fd[i] = (v_plus - v_minus) / (2 * step)
         worst_v = max(worst_v, float(np.max(np.abs(fd - g) / (1.0 + np.abs(fd)))))
     assert worst_e <= 1e-6
     assert worst_v <= 1e-6

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,24 @@ def test_cli_reconstruct_rejects_a_piecewise_constant_field(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("lambda 1.5\nkind pwlinear\n0 0\n0.5 inf\n1.5 1\n", id="value-inf"),
+        pytest.param("lambda 1e400\nkind pwlinear\n0 0\n1e400 1\n", id="lambda-overflows"),
+    ],
+)
+def test_cli_reconstruct_rejects_a_field_that_is_not_finite(tmp_path, capsys, text):
+    field = tmp_path / "inf.field"
+    field.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["reconstruct", "--field", str(field), "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ config handling
 
 
@@ -392,6 +411,28 @@ def test_cli_config_functional_checked_against_choices(tmp_path, capsys, section
     out = tmp_path / "out"
     assert main([section, "--config", str(config), "--out", str(out)]) == 2
     assert "functional" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[sweep\nlambda = 0.8\n", id="missing-section-header"),
+        pytest.param("[sweep]\nx\n", id="line-without-value"),
+        pytest.param("[sweep]\ngrid = 32\ngrid = 64\n", id="duplicate-option"),
+        pytest.param("[sweep]\nepsilons = 5%\n", id="bad-interpolation"),
+    ],
+)
+def test_cli_malformed_config_file_exits_2_before_writing(tmp_path, capsys, text):
+    config = tmp_path / "run.ini"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main([
+        "sweep", "--config", str(config), "--functional", "I", "--lambda", "0.8",
+        "--grid", "32", "--max-iterations", "5", "--out", str(out),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config file")
     assert not out.exists()
 
 

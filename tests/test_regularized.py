@@ -20,11 +20,9 @@ from fracture1d.regularized import (
     _STEP_MAX,
     _STEP_MIN,
     _descend,
-    _e_energy,
     _grid,
     _start_battery,
     _trapezoid_weights,
-    _v_energy,
     eval_E_eps,
     eval_V_eps,
     grad_E_eps,
@@ -123,7 +121,9 @@ def test_grad_E_matches_finite_differences():
         raw = 1.0 / lam + 0.4 * rng.standard_normal(49)
         field = project_H(raw, lam)
         g = grad_E_eps(field, eps, LJ)
-        fd = _central_difference(lambda v: _e_energy(v, lam, eps, LJ), field.values)
+        fd = _central_difference(
+            lambda v: eval_E_eps(DiscreteField(lam, v), eps, LJ), field.values
+        )
         rel = np.max(np.abs(fd - g) / (1.0 + np.abs(fd)))
         assert rel <= 1e-6
 
@@ -136,7 +136,7 @@ def test_grad_V_matches_finite_differences(lam, mu, eps):
         values = base.values.copy()
         values[1:-1] += 0.01 * rng.random(39)  # interior, monotone not required
         g = grad_V_eps(DiscreteField(lam, values), eps, mu, LJ)
-        fd = _central_difference(lambda v: _v_energy(v, lam, eps, mu, LJ), values)
+        fd = _central_difference(lambda v: eval_V_eps(DiscreteField(lam, v), eps, mu, LJ), values)
         rel = np.max(np.abs(fd - g) / (1.0 + np.abs(fd)))
         assert rel <= 1e-6
 
@@ -736,13 +736,7 @@ def test_minimize_runs_a_warm_start_as_continuation():
     warm = minimize("V", LJ, dataclasses.replace(settings, max_iterations=400)).minimizer.values
     result = minimize("V", LJ, settings, warm)
     kind = _FUNCTIONALS["V"]
-    x, fx, iterations, converged, history = _descend(
-        warm,
-        lambda v: kind.energy(v, settings, LJ),
-        lambda v: kind.gradient(v, settings, LJ),
-        lambda v: kind.project(v, settings.lam),
-        settings,
-    )
+    x, fx, iterations, converged, history = _descend(warm, kind, settings, LJ)
     assert result.start_label == "continuation"
     assert np.array_equal(result.minimizer.values, x)
     assert (result.energy, result.iterations, result.converged) == (fx, iterations, converged)
@@ -765,11 +759,18 @@ def test_minimize_rejects_unknown_functional():
 # ------------------------------------------------------------ descent
 
 
-def _descend_oracle(x0, energy, gradient, proj, settings):
+def _descend_oracle(x0, kind, settings, model):
     """The descent loop that projects once more per iteration for an exact
     stationarity test ||x - P(x - g)|| <= tol: the reference for bitwise
     equality of ``_descend``, whose test reads the first trial instead.
-    Like it, the loop backtracks along the projected direction."""
+    Like it, the loop backtracks along the projected direction.  Every
+    energy and gradient builds its point's geometry afresh, so equal bits
+    also show that no gradient of ``_descend`` read a rejected trial's
+    geometry."""
+    lam = settings.lam
+    energy = lambda v: kind.energy_at(kind.geometry(v, lam), settings, model)
+    gradient = lambda v: kind.gradient_at(kind.geometry(v, lam), settings, model)
+    proj = lambda v: kind.project(v, lam)
     x = proj(np.asarray(x0, dtype=float))
     fx = energy(x)
     gx = gradient(x)
@@ -814,24 +815,35 @@ def _descend_oracle(x0, energy, gradient, proj, settings):
 
 
 def _run_battery(
-    functional, settings, descend=_descend, on_energy=None, on_project=None, on_gradient=None
+    functional,
+    settings,
+    descend=_descend,
+    on_geometry=None,
+    on_energy=None,
+    on_project=None,
+    on_gradient=None,
 ):
-    """Run ``descend`` from every start of the battery, calling the hooks
-    with each point it evaluates, projects or differentiates."""
+    """Run ``descend`` from every start of the battery on the functional's
+    record with hooked kernels.  ``on_geometry`` and ``on_project`` see
+    each point whose geometry is built or that is projected;
+    ``on_energy`` and ``on_gradient`` see the geometry each one reads."""
     kind = _FUNCTIONALS[functional]
 
     def hooked(inner, hook):
-        def wrapper(v):
+        def wrapper(first, *rest):
             if hook is not None:
-                hook(v)
-            return inner(v)
+                hook(first)
+            return inner(first, *rest)
         return wrapper
 
-    energy = hooked(lambda v: kind.energy(v, settings, LJ), on_energy)
-    gradient = hooked(lambda v: kind.gradient(v, settings, LJ), on_gradient)
-    proj = hooked(lambda v: kind.project(v, settings.lam), on_project)
+    hooked_kind = kind._replace(
+        geometry=hooked(kind.geometry, on_geometry),
+        energy_at=hooked(kind.energy_at, on_energy),
+        gradient_at=hooked(kind.gradient_at, on_gradient),
+        project=hooked(kind.project, on_project),
+    )
     for label, x0 in _start_battery(kind, LJ, settings):
-        yield label, descend(x0, energy, gradient, proj, settings)
+        yield label, descend(x0, hooked_kind, settings, LJ)
 
 
 def _descents_of_the_battery(functional, settings):
@@ -913,7 +925,8 @@ def test_every_point_the_descent_evaluates_is_feasible(functional, settings):
     def count(v):
         seen["projections"] += 1
 
-    for _ in _run_battery(functional, settings, on_energy=check, on_project=count):
+    # Every point whose energy is evaluated has its geometry built once.
+    for _ in _run_battery(functional, settings, on_geometry=check, on_project=count):
         pass
     assert seen["mass"] <= 1e-12
     # Some of the checked points were backtracking trials, not projections.
@@ -931,21 +944,36 @@ def test_every_point_the_descent_evaluates_is_feasible(functional, settings):
 def test_backtracking_makes_no_projection(functional, settings):
     """Per iteration the descent projects exactly once, for the first
     trial, which also decides the stationarity test; the projection comes
-    before the first energy evaluation, so no backtrack projects.  Events:
-    P projection, E energy, G gradient; an iteration ends at its gradient."""
-    events, logs = [], []
+    before the first energy evaluation, so no backtrack projects.  Each
+    energy evaluation builds exactly one geometry, and the gradient reads
+    the one its accepted point's energy built, so no gradient builds one.
+    Events: P projection, X geometry, E energy, G gradient; an iteration
+    ends at its gradient."""
+    events, logs, evaluated = [], [], [None]
+
+    def energy(geometry):
+        events.append("E")
+        evaluated[0] = geometry
+
+    def gradient(geometry):
+        events.append("G")
+        # The last point evaluated is the accepted one.
+        assert geometry is evaluated[0]
+
     for _, (x, fx, iterations, converged, history) in _run_battery(
         functional, settings,
-        on_energy=lambda v: events.append("E"),
+        on_geometry=lambda v: events.append("X"),
+        on_energy=energy,
         on_project=lambda v: events.append("P"),
-        on_gradient=lambda v: events.append("G"),
+        on_gradient=gradient,
     ):
         log = "".join(events)
         events.clear()
         logs.append(log)
         # Set-up, accepted iterations, then at most one unfinished one:
         # converged (a lone P) or a failed line search (P, then energies).
-        assert re.fullmatch(r"PEG(PE+G)*(P|PE+)?", log)
+        assert re.fullmatch(r"PXEG(P(XE)+G)*(P|P(XE)+)?", log)
+        assert log.count("X") == log.count("E")
         assert log.count("G") == len(history)
         assert converged == log.endswith("P")
         assert iterations == len(history) - 1 + (not log.endswith("G"))
@@ -956,12 +984,12 @@ def test_backtracking_makes_no_projection(functional, settings):
 
 def test_minimize_is_bitwise_the_best_descent_of_the_battery():
     """``minimize`` hands the geometry of each accepted point from its
-    energy to its gradient; here every evaluation computes it afresh.
-    Equal bits over the whole battery show that no gradient reused the
-    geometry of a rejected trial."""
+    energy to its gradient; the reference loop computes it afresh for
+    every evaluation.  Equal bits over the whole battery show that no
+    gradient reused the geometry of a rejected trial."""
     settings = SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=200, max_iterations=60)
     result = minimize("V", LJ, settings)
-    runs = list(_run_battery("V", settings))
+    runs = list(_run_battery("V", settings, descend=_descend_oracle))
     label, (x, fx, iterations, converged, history) = min(runs, key=lambda run: run[1][1])
     assert result.start_label == label
     assert np.array_equal(result.minimizer.values, x)
@@ -985,7 +1013,7 @@ def test_a_converged_descent_meets_the_unit_step_residual(functional, settings):
     converged = 0
     for _, (x, fx, iterations, conv, history) in _run_battery(functional, settings):
         if conv:
-            g = kind.gradient(x, settings, LJ)
+            g = kind.gradient_at(kind.geometry(x, settings.lam), settings, LJ)
             residual = np.linalg.norm(x - kind.project(x - g, settings.lam))
             assert residual <= GTOL * (1.0 + np.linalg.norm(g))
             converged += 1

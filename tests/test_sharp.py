@@ -404,6 +404,21 @@ def test_reconstruct_rejects_fractional_slopes():
         reconstruct_deformation(PiecewiseConstantField(1.5, (1.0,), (1.0, 0.0)))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_fields_reject_a_value_or_domain_length_that_is_not_finite(bad):
+    # An infinite value makes the slope rounding bounds infinite, so such a
+    # field would pass as admissible with V = 0 and reconstruct to a graph.
+    with pytest.raises(DomainError, match="finite"):
+        PiecewiseLinearField(1.5, (0.0, 0.5, 1.5), (0.0, bad, 1.0))
+    with pytest.raises(DomainError, match="finite"):
+        PiecewiseConstantField(1.4, (1.0,), (1.0, bad))
+    if bad > 0.0:
+        with pytest.raises(DomainError, match="finite"):
+            PiecewiseLinearField(bad, (0.0, bad), (0.0, 1.0))
+        with pytest.raises(DomainError, match="finite"):
+            PiecewiseConstantField(bad, (1.0,), (1.0, 0.0))
+
+
 def test_jump_count_one_to_one_with_plateaus():
     for n in (2, 5, 8):
         for variant in ("A", "B"):
