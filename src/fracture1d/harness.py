@@ -204,7 +204,7 @@ def gamma_sweep_I(
     lam = settings.lam
 
     def references(cw, nodes):
-        if lam > 1.0 + 1e-12:
+        if lam > 1.0:
             return [
                 ("endA", PiecewiseConstantField(lam, (1.0,), (1.0, 0.0)).value_at(nodes)),
                 ("endB", PiecewiseConstantField(lam, (lam - 1.0,), (0.0, 1.0)).value_at(nodes)),
@@ -221,23 +221,21 @@ def gamma_sweep_V(
 
     ``settings`` gives the load, the foundation stiffness, the grid and
     the solver controls; its epsilon is replaced row by row.  References
-    are both variants of the predicted minimizing configuration;
+    of a stretched bar (lambda > 1) are both variants of the predicted
+    minimizing configuration, and otherwise the homogeneous state;
     distances are reported in L1 of the field, L1 of the slopes (the
     discrete first-derivative seminorm proxy) and sup norm.
     """
     lam, mu = settings.lam, settings.mu
 
     def references(cw, nodes):
-        if lam > 1.0 + 1e-12:
+        if lam > 1.0:
             n_star = crack_count(cw, mu, lam)
+            fields = [build_sharp_minimizer(n_star, lam, v, cw, mu).field for v in "AB"]
             return [
-                (f"variant{v}(n={n_star})", np.interp(nodes, f.knots, f.knot_values))
-                for v, f in (
-                    ("A", build_sharp_minimizer(n_star, lam, "A", cw, mu).field),
-                    ("B", build_sharp_minimizer(n_star, lam, "B", cw, mu).field),
-                )
+                (f"variant{v}(n={n_star})", f.value_at(nodes)) for v, f in zip("AB", fields)
             ], v_n(n_star, cw, mu, lam)
-        sharp_value = None if lam < 1.0 - 1e-12 else 0.0
+        sharp_value = None if lam < 1.0 else 0.0
         return [("homogeneous", np.linspace(0.0, 1.0, nodes.size))], sharp_value
 
     return _sweep(

@@ -30,8 +30,6 @@ import numpy as np
 
 from .material import MaterialModel, c_wstar
 from .sharp import (
-    FEASIBILITY_TOL,
-    SLOPE_JUMP_TOL,
     PiecewiseConstantField,
     PiecewiseLinearField,
     build_sharp_minimizer,
@@ -92,8 +90,8 @@ class DiscreteField:
         return out
 
     def _check(self):
-        if self.domain_length <= 0.0:
-            raise ValueError("domain length must be positive")
+        if not 0.0 < self.domain_length < math.inf:
+            raise ValueError("domain length must be positive and finite")
         if self.values.ndim != 1 or self.values.size < 3:
             raise ValueError("need at least three node values")
         if not np.all(np.isfinite(self.values)):
@@ -312,9 +310,11 @@ def project_H(values: Sequence[float], lam: float) -> DiscreteField:
     their squared norm come from the per-grid cache ``_grid``, built once
     per grid.  The result is a new array, never a view of ``values``.
     """
-    if lam <= 0.0:
-        raise Infeasible("cannot normalize the integral on a nonpositive domain")
+    if not 0.0 < lam < math.inf:
+        raise Infeasible(f"cannot normalize the integral on a domain of length {lam!r}")
     raw = np.asarray(values, dtype=float)
+    if raw.size < 3:
+        raise ValueError("need at least three node values")
     a, w_sq, _ = _grid(raw.size - 1, lam / (raw.size - 1))
     r, w = raw, a
     while True:
@@ -469,15 +469,6 @@ def transition_profile(model: MaterialModel, epsilon: float) -> tuple[np.ndarray
     return offsets, q
 
 
-def _jump_positions(pc: PiecewiseConstantField) -> list[tuple[float, float, float]]:
-    out = []
-    for i, b in enumerate(pc.breakpoints):
-        left, right = pc.values[i], pc.values[i + 1]
-        if abs(right - left) > FEASIBILITY_TOL:
-            out.append((b, left, right))
-    return out
-
-
 def _mollify_step_values(
     pc: PiecewiseConstantField,
     epsilon: float,
@@ -485,7 +476,7 @@ def _mollify_step_values(
     points: np.ndarray,
 ) -> np.ndarray:
     out = np.asarray(pc.value_at(points), dtype=float).copy()
-    jumps = _jump_positions(pc)
+    jumps = pc.jumps()
     if not jumps:
         return out
     offsets, q = transition_profile(model, epsilon)
@@ -511,9 +502,10 @@ def mollify_sharp_candidate(
 ) -> DiscreteField:
     """Smooth a sharp candidate into a discrete near-minimizer.
 
-    Each well-to-well transition is replaced by the heteroclinic
-    profile.  For inverse deformations the smoothed slope is integrated
-    back up and rescaled affinely so the endpoint values survive.
+    Each jump of a step field, or slope step of an inverse deformation,
+    as ``sharp`` finds them, is replaced by the heteroclinic profile.  A
+    smoothed slope is integrated back up and rescaled affinely so the
+    endpoint values survive.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -522,17 +514,9 @@ def mollify_sharp_candidate(
         nodes = np.linspace(0.0, lam, grid_n + 1)
         return DiscreteField(lam, _mollify_step_values(sharp_field, epsilon, model, nodes))
 
-    slopes = sharp_field.slopes()
-    knots = sharp_field.knots
-    breaks, vals = [], [float(slopes[0])]
-    for i in range(1, len(slopes)):
-        if abs(slopes[i] - vals[-1]) > SLOPE_JUMP_TOL:
-            breaks.append(knots[i])
-            vals.append(float(slopes[i]))
-    slope_pc = PiecewiseConstantField(lam, tuple(breaks), tuple(vals))
     d = lam / grid_n
-    mids = (np.arange(grid_n) + 0.5) * d
-    smooth = _mollify_step_values(slope_pc, epsilon, model, mids)
+    mids = _grid(grid_n, d).midpoints
+    smooth = _mollify_step_values(sharp_field.slope_steps(), epsilon, model, mids)
     h = np.concatenate(([0.0], np.cumsum(smooth) * d))
     h /= h[-1]
     h[0] = 0.0
@@ -569,10 +553,11 @@ def _start_battery(
     kind: _Functional, model, settings: SolveSettings
 ) -> list[tuple[str, np.ndarray]]:
     """The homogeneous state (the zero-noise start), mollified sharp
-    candidates of a stretched bar, then seeded random perturbations."""
+    candidates of a stretched bar (lambda > 1, as in ``sharp``), then
+    seeded random perturbations."""
     lam, n = settings.lam, settings.grid_n
     starts = [("homogeneous", kind.start(lam, np.zeros(n + 1)))]
-    if lam > 1.0 + 1e-12:
+    if lam > 1.0:
         for label, sharp in kind.sharp_candidates(model, settings):
             cand = mollify_sharp_candidate(sharp, settings.epsilon, model, n)
             starts.append((label, cand.values))
@@ -719,18 +704,20 @@ def minimize(
 
     The battery holds the homogeneous state, mollified sharp candidates
     for crack counts around the predicted one, and seeded random
-    perturbations.  ``warm``, the node values of an earlier solve (a
-    sweep's previous row), joins it last as the start labelled
-    "continuation".  Results never raise on non-convergence; check the
-    ``converged`` flag.  An epsilon so large that a start's energy or
-    gradient overflows, or so small that the rescaled energy does, raises
-    ValueError.
+    perturbations.  ``warm``, the node values of an earlier solve on the
+    same grid (a sweep's previous row), joins it last as the start
+    labelled "continuation".  Results never raise on non-convergence;
+    check the ``converged`` flag.  An epsilon so large that a start's
+    energy or gradient overflows, or so small that the rescaled energy
+    does, raises ValueError.
     """
     kind = _FUNCTIONALS.get(functional.upper())
     if kind is None:
         raise ValueError("functional must be 'E' or 'V'")
     starts = _start_battery(kind, model, settings)
     if warm is not None:
+        if np.shape(warm) != (settings.grid_n + 1,):
+            raise ValueError(f"a warm start needs {settings.grid_n + 1} node values")
         starts.append(("continuation", np.asarray(warm, float)))
 
     best = None

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .harness import ScanReport, SweepReport, SweepRow
 from .regularized import DiscreteField, SolveResult
-from .sharp import DeformationGraph, PiecewiseConstantField, PiecewiseLinearField
+from .sharp import DeformationGraph, PiecewiseLinearField
 
 __all__ = [
     "format_number",
@@ -38,28 +38,19 @@ def format_number(x) -> str:
     return f"{float(x):.12g}"
 
 
-def field_to_text(field: PiecewiseConstantField | PiecewiseLinearField) -> str:
-    """Serialize a sharp field: header lines, then knot/value pairs.
-
-    Piecewise-constant fields list one (right edge, value) pair per
-    piece; piecewise-linear fields list (knot, value) pairs.  Field
-    files carry shortest-round-trip floats, not the 12-digit CSV
-    precision, so re-parsing reproduces energies exactly.
+def field_to_text(field: PiecewiseLinearField) -> str:
+    """Serialize a piecewise-linear field: the header lines ``lambda`` and
+    ``kind pwlinear``, then one (knot, value) pair per line.  Field files
+    carry shortest-round-trip floats, not the 12-digit CSV precision, so
+    re-parsing reproduces energies exactly.
     """
-    out = [f"lambda {float(field.domain_length)!r}"]
-    if isinstance(field, PiecewiseConstantField):
-        out.append("kind pwconstant")
-        edges = field.edges()
-        for right, value in zip(edges[1:], field.values):
-            out.append(f"{float(right)!r} {float(value)!r}")
-    else:
-        out.append("kind pwlinear")
-        for knot, value in zip(field.knots, field.knot_values):
-            out.append(f"{float(knot)!r} {float(value)!r}")
+    out = [f"lambda {float(field.domain_length)!r}", "kind pwlinear"]
+    for knot, value in zip(field.knots, field.knot_values):
+        out.append(f"{float(knot)!r} {float(value)!r}")
     return "\n".join(out) + "\n"
 
 
-def parse_field(text: str) -> PiecewiseConstantField | PiecewiseLinearField:
+def parse_field(text: str) -> PiecewiseLinearField:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if len(lines) < 3 or not lines[0].startswith("lambda ") or not lines[1].startswith("kind "):
@@ -69,13 +60,9 @@ def parse_field(text: str) -> PiecewiseConstantField | PiecewiseLinearField:
     pairs = [tuple(float(tok) for tok in ln.split()) for ln in lines[2:]]
     if any(len(p) != 2 for p in pairs):
         raise ValueError("field body lines must hold exactly two numbers")
-    if kind == "pwconstant":
-        rights = tuple(p[0] for p in pairs)
-        values = tuple(p[1] for p in pairs)
-        return PiecewiseConstantField(lam, rights[:-1], values)
-    if kind == "pwlinear":
-        return PiecewiseLinearField(lam, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-    raise ValueError(f"unknown field kind {kind!r}")
+    if kind != "pwlinear":
+        raise ValueError(f"unknown field kind {kind!r}")
+    return PiecewiseLinearField(lam, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
 
 def write_field(path, field) -> None:

@@ -6,6 +6,11 @@ and the deformation reconstruction.  Admissibility checks on values
 use a 1e-12 absolute tolerance, and checks on slopes a bound on the
 rounding of each slope: fields are built exactly in the arithmetic of
 their inputs, so only rounding noise must be absorbed.
+
+It owns the rules that read a sharp field, which the regularized starts
+and the sweeps use: a step field's jumps (``jumps``), a piecewise-linear
+field's slope steps (``slope_steps``), and that a bar is stretched, and
+cracks, exactly when lambda > 1.
 """
 
 from __future__ import annotations
@@ -84,16 +89,19 @@ class PiecewiseConstantField:
             if not left < right:
                 raise DomainError("breakpoints must increase strictly inside (0, lambda)")
 
-    def edges(self) -> tuple[float, ...]:
-        return (0.0,) + self.breakpoints + (self.domain_length,)
+    def jumps(self) -> list[tuple[float, float, float]]:
+        """(breakpoint, left value, right value) of each jump above FEASIBILITY_TOL."""
+        return [
+            (b, left, right)
+            for b, left, right in zip(self.breakpoints, self.values, self.values[1:])
+            if abs(right - left) > FEASIBILITY_TOL
+        ]
 
     def jump_count(self) -> int:
-        return sum(
-            1 for a, b in zip(self.values, self.values[1:]) if abs(b - a) > FEASIBILITY_TOL
-        )
+        return len(self.jumps())
 
     def measure_of(self, level: float) -> float:
-        edges = self.edges()
+        edges = (0.0,) + self.breakpoints + (self.domain_length,)
         return math.fsum(
             edges[i + 1] - edges[i]
             for i, v in enumerate(self.values)
@@ -154,9 +162,18 @@ class PiecewiseLinearField:
         tol = np.maximum(SLOPE_JUMP_TOL, (2.0 * _KNOT_ULPS * np.finfo(float).eps * size) / dk)
         return np.diff(np.array(self.knot_values)) / dk, tol
 
-    def derivative_jump_count(self) -> int:
+    def slope_steps(self) -> PiecewiseConstantField:
+        """The slope as a step field: neighbouring slopes that differ by no
+        more than their rounding bounds form one piece, valued at the
+        first slope of its run."""
         s, tol = self._slopes_and_tolerance()
-        return int(np.sum(np.abs(np.diff(s)) > tol[:-1] + tol[1:]))
+        breaks = np.flatnonzero(np.abs(np.diff(s)) > tol[:-1] + tol[1:]) + 1
+        knots = np.array(self.knots)[breaks].tolist()
+        values = s[np.concatenate(([0], breaks))].tolist()
+        return PiecewiseConstantField(self.domain_length, tuple(knots), tuple(values))
+
+    def derivative_jump_count(self) -> int:
+        return len(self.slope_steps().breakpoints)
 
     def _slope_runs(self, target: float) -> list[tuple[float, float]]:
         """Maximal intervals where the slope is target up to rounding."""

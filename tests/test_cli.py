@@ -20,12 +20,7 @@ from fracture1d.serialize import (
     format_number,
     parse_field,
 )
-from fracture1d.sharp import (
-    PiecewiseConstantField,
-    build_sharp_minimizer,
-    eval_I,
-    eval_V,
-)
+from fracture1d.sharp import build_sharp_minimizer, eval_V
 
 C_LJ = 4.0 * math.sqrt(2.0) / 15.0
 
@@ -41,18 +36,14 @@ def test_field_round_trip_linear():
     assert after == pytest.approx(before, abs=1e-12)
 
 
-def test_field_round_trip_constant():
-    field = PiecewiseConstantField(1.4, (1.0,), (1.0, 0.0))
-    parsed = parse_field(field_to_text(field))
-    assert isinstance(parsed, PiecewiseConstantField)
-    assert eval_I(parsed, C_LJ) == pytest.approx(eval_I(field, C_LJ), abs=1e-12)
-
-
 def test_parse_field_rejects_garbage():
     with pytest.raises(ValueError):
         parse_field("not a field\n")
     with pytest.raises(ValueError):
         parse_field("lambda 1.0\nkind nope\n0 0\n1 1\n")
+    # No command writes piecewise-constant fields; they are an unknown kind.
+    with pytest.raises(ValueError, match="unknown field kind 'pwconstant'"):
+        parse_field("lambda 1.5\nkind pwconstant\n1.0 1.0\n2.0 0.0\n")
 
 
 def test_discrete_csv_shape():

@@ -125,6 +125,22 @@ def test_sweep_V_without_foundation_matches_interface_cost():
     assert not any(row.suspect for row in report.rows)
 
 
+@pytest.mark.parametrize(
+    "sweep, candidates",
+    [
+        (gamma_sweep_V, ["variantA(n=1)", "variantB(n=1)"]),
+        (gamma_sweep_I, ["endA", "endB"]),
+    ],
+)
+def test_sweep_just_above_unit_load_scores_against_the_cracked_references(sweep, candidates):
+    """Any lambda > 1 stretches the bar, as in ``sharp``, which gives
+    n = 1 and V = c_wstar at lambda = 1 + 1e-13."""
+    settings = SolveSettings(lam=1.0 + 1e-13, epsilon=1.0, mu=200.0, grid_n=64, max_iterations=5)
+    report = sweep(LJ, [0.1], settings)
+    assert report.metadata["candidates"] == candidates
+    assert report.rows[0].nearest_candidate in candidates
+
+
 def test_sweep_rejects_unsorted_epsilons():
     settings = SolveSettings(lam=1.0, epsilon=1.0, grid_n=128)
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from fracture1d import regularized
 from fracture1d.material import builtin_lj, c_wstar
 from fracture1d.regularized import (
     DiscreteField,
@@ -36,10 +37,14 @@ from fracture1d.regularized import (
     project_h,
     transition_count_slopes,
     transition_count_values,
+    transition_profile,
 )
 from fracture1d.sharp import (
+    FEASIBILITY_TOL,
+    SLOPE_JUMP_TOL,
     PiecewiseConstantField,
     build_sharp_minimizer,
+    crack_count,
     v_n,
 )
 
@@ -100,6 +105,98 @@ def test_mollify_leaves_transition_free_fields_alone():
     assert np.array_equal(field.values, np.ones(65))
 
 
+# The mollifier as it was when it found jumps and slope steps by rules of
+# its own, verbatim: the reference for the mollified starts.
+
+
+def _reference_jump_positions(pc: PiecewiseConstantField) -> list[tuple[float, float, float]]:
+    out = []
+    for i, b in enumerate(pc.breakpoints):
+        left, right = pc.values[i], pc.values[i + 1]
+        if abs(right - left) > FEASIBILITY_TOL:
+            out.append((b, left, right))
+    return out
+
+
+def _reference_mollify_step_values(pc, epsilon, model, points):
+    out = np.asarray(pc.value_at(points), dtype=float).copy()
+    jumps = _reference_jump_positions(pc)
+    if not jumps:
+        return out
+    offsets, q = transition_profile(model, epsilon)
+    reach = max(-offsets[1], offsets[-2])
+    centers = [b for b, _, _ in jumps]
+    for i, (b, left, right) in enumerate(jumps):
+        lo = b - reach if i == 0 else max(b - reach, 0.5 * (centers[i - 1] + b))
+        hi = b + reach if i + 1 == len(centers) else min(b + reach, 0.5 * (b + centers[i + 1]))
+        mask = (points >= lo) & (points <= hi)
+        local = points[mask] - b
+        if right > left:  # rising through the profile
+            out[mask] = left + (right - left) * np.interp(local, offsets, q)
+        else:
+            out[mask] = right + (left - right) * np.interp(-local, offsets, q)
+    return out
+
+
+def _reference_mollify(sharp_field, epsilon, model, grid_n):
+    lam = sharp_field.domain_length
+    if isinstance(sharp_field, PiecewiseConstantField):
+        nodes = np.linspace(0.0, lam, grid_n + 1)
+        return DiscreteField(lam, _reference_mollify_step_values(sharp_field, epsilon, model, nodes))
+
+    slopes = sharp_field.slopes()
+    knots = sharp_field.knots
+    breaks, vals = [], [float(slopes[0])]
+    for i in range(1, len(slopes)):
+        if abs(slopes[i] - vals[-1]) > SLOPE_JUMP_TOL:
+            breaks.append(knots[i])
+            vals.append(float(slopes[i]))
+    slope_pc = PiecewiseConstantField(lam, tuple(breaks), tuple(vals))
+    d = lam / grid_n
+    mids = (np.arange(grid_n) + 0.5) * d
+    smooth = _reference_mollify_step_values(slope_pc, epsilon, model, mids)
+    h = np.concatenate(([0.0], np.cumsum(smooth) * d))
+    h /= h[-1]
+    h[0] = 0.0
+    return DiscreteField(lam, h)
+
+
+@pytest.mark.parametrize(
+    "functional, lam", [("V", 1.5), ("E", 1.4), ("V", 1.0 + 1e-13), ("E", 1.0 + 1e-13)]
+)
+def test_mollified_starts_are_bitwise_the_reference_loop(functional, lam):
+    """The battery mollifies the sharp candidates of every stretched bar,
+    lambda > 1 as in ``sharp``, and at these loads ``sharp``'s jumps and
+    slope steps are the reference loop's to the bit."""
+    settings = SolveSettings(lam=lam, epsilon=0.02, mu=200.0, grid_n=1000)
+    kind = _FUNCTIONALS[functional]
+    starts = dict(_start_battery(kind, LJ, settings))
+    candidates = kind.sharp_candidates(LJ, settings)
+    assert [k for k in starts if k.startswith("mollified-")] == [k for k, _ in candidates]
+    for label, sharp in candidates:
+        reference = _reference_mollify(sharp, settings.epsilon, LJ, settings.grid_n)
+        assert starts[label].tobytes() == reference.values.tobytes()
+
+
+def test_mollifying_a_large_load_minimizer_inserts_one_profile_per_crack(monkeypatch):
+    """At lambda 1e4 the slopes carry rounding of 4e-9: a fixed 1e-9 slope
+    tolerance found 2833 slope steps, and placed as many profiles, for
+    the n = 2605 cracks."""
+    n = crack_count(C_LJ, 200.0, 1e4)
+    sharp = build_sharp_minimizer(n, 1e4, "A", C_LJ, 200.0).field
+    step_fields = []
+    inner = regularized._mollify_step_values
+
+    def recording(pc, *rest):
+        step_fields.append(pc)
+        return inner(pc, *rest)
+
+    monkeypatch.setattr(regularized, "_mollify_step_values", recording)
+    mollify_sharp_candidate(sharp, 0.02, LJ, 1000)
+    assert [pc.jump_count() for pc in step_fields] == [n]
+
+
+# ------------------------------------------------------------ gradients
 # ------------------------------------------------------------ gradients
 
 
@@ -558,6 +655,23 @@ def test_project_H_rejects_nonpositive_domain():
         project_H(np.ones(5), 0.0)
 
 
+@pytest.mark.parametrize("length", [math.nan, math.inf, 0.0, -1.0])
+def test_fields_reject_a_domain_length_that_is_not_positive_and_finite(length):
+    values = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="domain length"):
+        DiscreteField(length, values)
+    with pytest.raises(ValueError, match="domain length"):
+        project_h(values, length)
+    with pytest.raises(Infeasible, match="domain of length"):
+        project_H(values, length)
+
+
+@pytest.mark.parametrize("values", [[], [1.0], [1.0, 1.0]])
+def test_project_H_rejects_fewer_than_three_values(values):
+    with pytest.raises(ValueError, match="three node values"):
+        project_H(values, 1.0)
+
+
 def test_project_h_matches_enumeration_oracle():
     rng = np.random.default_rng(19)
     for _ in range(25):
@@ -741,6 +855,16 @@ def test_minimize_runs_a_warm_start_as_continuation():
     assert np.array_equal(result.minimizer.values, x)
     assert (result.energy, result.iterations, result.converged) == (fx, iterations, converged)
     assert result.energy_history == history
+
+
+def test_minimize_rejects_a_warm_start_on_another_grid():
+    """A converged 16-cell solve would otherwise win a 3-iteration solve on
+    400 cells and come back as its 17-node minimizer."""
+    coarse = SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=16)
+    warm = minimize("V", LJ, coarse).minimizer.values
+    fine = dataclasses.replace(coarse, grid_n=400, max_iterations=3)
+    with pytest.raises(ValueError, match="401 node values"):
+        minimize("V", LJ, fine, warm)
 
 
 def test_minimize_is_deterministic_for_a_seed():

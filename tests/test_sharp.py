@@ -269,6 +269,28 @@ def test_minimizer_at_a_large_load_reconstructs(lam, variant):
     assert eval_V(m.field, C_LJ, 200.0) == pytest.approx(m.energy, rel=1e-9)
 
 
+@pytest.mark.parametrize("lam", [1.5, 1e3, 1e4, 3e4])
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_slope_steps_break_once_per_derivative_jump(lam, variant):
+    """The slope of the n-crack minimizer steps exactly n times, between
+    the wells.  A fixed 1e-9 slope tolerance found 2833 steps at lambda
+    1e4 (n = 2605) and 6676 at 3e4 (n = 5419) for variant A."""
+    n = crack_count(C_LJ, 200.0, lam)
+    field = build_sharp_minimizer(n, lam, variant, C_LJ, 200.0).field
+    steps = field.slope_steps()
+    assert len(steps.breakpoints) == field.derivative_jump_count() == n
+    assert set(steps.breakpoints) <= set(field.knots)
+    assert all(min(abs(v), abs(v - 1.0)) < 1e-6 for v in steps.values)
+    assert len(steps.jumps()) == steps.jump_count() == n
+    assert steps.values[0] == field.slopes()[0]
+
+
+def test_jumps_lists_each_step_above_the_tolerance():
+    field = PiecewiseConstantField(2.0, (0.5, 1.0, 1.5), (1.0, 1.0 + 1e-13, 0.0, 1.0))
+    assert field.jumps() == [(1.0, 1.0 + 1e-13, 0.0), (1.5, 0.0, 1.0)]
+    assert field.jump_count() == 2
+
+
 def test_reconstruct_rejects_a_half_slope_at_a_large_load():
     m = build_sharp_minimizer(crack_count(C_LJ, 200.0, 3e4), 3e4, "A", C_LJ, 200.0)
     knots = np.asarray(m.field.knots)
