@@ -11,7 +11,9 @@ monotonicity) and convex combinations of feasible points keep every
 iterate feasible, so energies are meaningful throughout.  Each
 functional is one record of kernels (geometry, energy, gradient,
 projection) that the descent calls itself: the gradient at an accepted
-point reads the geometry that the point's energy evaluation built.
+point reads the geometry that the point's energy evaluation built.  The
+starts of a solve descend independently, on every CPU of the process's
+affinity mask, with the same result on any count.
 
 The foundation-coupled energy is the unrescaled one with interaction
 stiffness k = epsilon * mu; dividing by epsilon gives the quantity that
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -621,12 +625,17 @@ def _descend(
         # Math. Program. 39, 1987, Lemma 2.2): r(1) <= r(step) if step >= 1
         # and r(1) <= r(step) / step if step < 1, so ||x - xn|| / min(step, 1)
         # bounds the unit-step residual r(1) from above.  The norms are
-        # np.linalg.norm's arithmetic for a 1-d float array.
+        # np.linalg.norm's arithmetic for a 1-d float array.  The bound holds
+        # in exact arithmetic only: with a tiny step, x - step * g rounds
+        # back to x and r(step) reads 0.  So a pass with step < 1 is
+        # confirmed once with the unit-step residual itself.
         tol = GTOL * (1.0 + math.sqrt(gx @ gx))
         back = first = x - xn
         if math.sqrt(first @ first) / min(step, 1.0) <= tol:
-            converged = True
-            break
+            unit = first if step >= 1.0 else x - kind.project(x - gx, lam)
+            if math.sqrt(unit @ unit) <= tol:
+                converged = True
+                break
         # Backtrack along the projected direction d = P(x - step g) - x
         # (Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000): x + t d is
         # feasible for t in (0, 1] by convexity, so no trial but the first
@@ -653,6 +662,68 @@ def _descend(
         gx = kind.gradient_at(geometry, settings, model)
         history.append(fx)
     return x, fx, iterations, converged, history
+
+
+# A pool worker's descent of one start of the battery, set by the pool's
+# initializer in the worker process only.
+_worker_descend = None
+
+
+def _adopt_descend(descend: Callable[[int], tuple]) -> None:
+    global _worker_descend
+    _worker_descend = descend
+
+
+def _descend_in_worker(index: int) -> tuple:
+    return _worker_descend(index)
+
+
+def _descend_all(
+    starts: list[tuple[str, np.ndarray]],
+    kind: _Functional,
+    settings: SolveSettings,
+    model: MaterialModel,
+) -> list[tuple]:
+    """Each start's ``_descend`` tuple, in battery order.
+
+    The descents are independent, so they run on the CPUs of the
+    process's affinity mask: the caller descends too, beside one forked
+    worker per further CPU and at most one fewer than there are starts.
+    Every start is submitted; workers take starts from the front, and the
+    caller descends from the back each one it can still cancel.  A task
+    sends only its start's index and a worker sends back only the tuple,
+    whose floats pickle exactly, so the results are the serial loop's bit
+    for bit on any CPU count.  The battery reaches the workers through
+    fork, unpickled, since the functional's kernels and a model's
+    densities may be closures.  Forking a process that runs other threads
+    is unsafe, so then, with one CPU, or without fork, the caller descends
+    every start itself.  No worker outlives the call.
+    """
+
+    def descend(index: int) -> tuple:
+        return _descend(starts[index][1], kind, settings, model)
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(starts)) - 1
+    if workers > 0 and threading.active_count() == 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_adopt_descend,
+                initargs=(descend,),
+            )
+            try:
+                futures = [pool.submit(_descend_in_worker, i) for i in range(len(starts))]
+                own = {i: descend(i) for i in reversed(range(len(starts))) if futures[i].cancel()}
+                return [own[i] if i in own else f.result() for i, f in enumerate(futures)]
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [descend(i) for i in range(len(starts))]
 
 
 class _Functional(NamedTuple):
@@ -706,10 +777,12 @@ def minimize(
     for crack counts around the predicted one, and seeded random
     perturbations.  ``warm``, the node values of an earlier solve on the
     same grid (a sweep's previous row), joins it last as the start
-    labelled "continuation".  Results never raise on non-convergence;
-    check the ``converged`` flag.  An epsilon so large that a start's
-    energy or gradient overflows, or so small that the rescaled energy
-    does, raises ValueError.
+    labelled "continuation".  The starts descend on every CPU the process
+    may run on, and the best wins, the earlier start on a tie, so the
+    result is the same on any CPU count.  Results never raise on
+    non-convergence; check the ``converged`` flag.  An epsilon so large
+    that a start's energy or gradient overflows, or so small that the
+    rescaled energy does, raises ValueError.
     """
     kind = _FUNCTIONALS.get(functional.upper())
     if kind is None:
@@ -721,10 +794,9 @@ def minimize(
         starts.append(("continuation", np.asarray(warm, float)))
 
     best = None
-    for label, x0 in starts:
-        x, fx, iterations, converged, history = _descend(x0, kind, settings, model)
-        if best is None or fx < best[1]:
-            best = (x, fx, iterations, converged, history, label)
+    for (label, _), descent in zip(starts, _descend_all(starts, kind, settings, model)):
+        if best is None or descent[1] < best[1]:
+            best = (*descent, label)
 
     x, fx, iterations, converged, history, label = best
     with np.errstate(over="ignore"):

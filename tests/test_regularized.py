@@ -1,6 +1,10 @@
+import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
+import os
 import re
+import threading
 import warnings
 from typing import Sequence
 
@@ -731,10 +735,13 @@ def test_projection_never_shares_memory_with_its_input(name, proj):
     assert not np.shares_memory(field.values, feasible)
 
 
-def test_per_grid_constants_are_read_only_and_unchanged_by_minimize():
+def test_per_grid_constants_are_read_only_and_unchanged_by_minimize(monkeypatch):
     """The trapezoid weights, their squared norm and V's cell midpoints are
     built once per grid and shared by every call on it.  A write to them
-    raises, and a full solve of E and of V leaves them as built."""
+    raises, and a full solve of E and of V leaves them as built, whether
+    the caller descends every start or shares them with workers.  The
+    cache hits are counted on one CPU, where every descent is the
+    caller's."""
     runs = [
         ("E", SolveSettings(lam=1.4, epsilon=0.05, grid_n=300, max_iterations=60)),
         ("V", SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=200, max_iterations=60)),
@@ -743,9 +750,14 @@ def test_per_grid_constants_are_read_only_and_unchanged_by_minimize():
     grids = [_grid(*key) for key in keys]
     copies = [(g.weights.copy(), g.weights_sq, g.midpoints.copy()) for g in grids]
     hits = _grid.cache_info().hits
+    with monkeypatch.context() as m:
+        _on_cpus(m, 1)
+        for functional, settings in runs:
+            minimize(functional, LJ, settings)
+    assert _grid.cache_info().hits > hits + 1000
+    _on_cpus(monkeypatch, 3)
     for functional, settings in runs:
         minimize(functional, LJ, settings)
-    assert _grid.cache_info().hits > hits + 1000
     for (n, d), grid, (weights, weights_sq, midpoints) in zip(keys, grids, copies):
         assert _grid(n, d) is grid
         for arr in (grid.weights, grid.midpoints):
@@ -1072,7 +1084,8 @@ def test_backtracking_makes_no_projection(functional, settings):
     energy evaluation builds exactly one geometry, and the gradient reads
     the one its accepted point's energy built, so no gradient builds one.
     Events: P projection, X geometry, E energy, G gradient; an iteration
-    ends at its gradient."""
+    ends at its gradient.  A stationarity test that passes with a step
+    below 1 is confirmed by one more projection, PP."""
     events, logs, evaluated = [], [], [None]
 
     def energy(geometry):
@@ -1095,8 +1108,8 @@ def test_backtracking_makes_no_projection(functional, settings):
         events.clear()
         logs.append(log)
         # Set-up, accepted iterations, then at most one unfinished one:
-        # converged (a lone P) or a failed line search (P, then energies).
-        assert re.fullmatch(r"PXEG(P(XE)+G)*(P|P(XE)+)?", log)
+        # converged (P, or PP) or a failed line search (P, then energies).
+        assert re.fullmatch(r"PXEG(PP?(XE)+G)*(PP?|PP?(XE)+)?", log)
         assert log.count("X") == log.count("E")
         assert log.count("G") == len(history)
         assert converged == log.endswith("P")
@@ -1121,12 +1134,122 @@ def test_minimize_is_bitwise_the_best_descent_of_the_battery():
     assert result.energy_history == history
 
 
+# ------------------------------------------------------------ battery on every CPU
+
+
+def _on_cpus(monkeypatch, n):
+    """Make the process's affinity mask hold n CPUs, as minimize reads it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools minimize creates."""
+    made = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return made
+
+
+def _assert_results_bitwise(mine, reference):
+    assert np.array_equal(mine.minimizer.values, reference.minimizer.values)
+    assert mine.minimizer.domain_length == reference.minimizer.domain_length
+    for name in ("energy", "rescaled_energy", "iterations", "transition_count",
+                 "converged", "start_label", "energy_history"):
+        assert getattr(mine, name) == getattr(reference, name), name
+
+
+_BATTERIES = [
+    ("E", SolveSettings(lam=1.4, epsilon=0.05, grid_n=300, max_iterations=60)),
+    ("V", SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=200, max_iterations=60)),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("functional, settings", _BATTERIES, ids=["E", "V"])
+def test_minimize_on_every_cpu_is_bitwise_the_one_cpu_run(
+    monkeypatch, pools, functional, settings, warm
+):
+    """Workers descend some starts and the caller the rest; every field of
+    the result, history and start label included, is the one-CPU run's."""
+    x0 = None
+    if warm:
+        longer = dataclasses.replace(settings, max_iterations=2 * settings.max_iterations)
+        _on_cpus(monkeypatch, 1)
+        x0 = minimize(functional, LJ, longer).minimizer.values
+    _on_cpus(monkeypatch, 1)
+    serial = minimize(functional, LJ, settings, x0)
+    assert pools == []
+    _on_cpus(monkeypatch, 3)
+    shared = minimize(functional, LJ, settings, x0)
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+    _assert_results_bitwise(shared, serial)
+    if warm:
+        assert shared.start_label == "continuation"
+
+
+def test_bitwise_tie_goes_to_the_earlier_start_on_every_cpu(monkeypatch, pools):
+    """A warm start equal to the homogeneous one descends to the same
+    bits.  However the worker and the caller share the two starts, the
+    earlier one wins."""
+    settings = SolveSettings(lam=0.9, epsilon=0.05, mu=200.0, grid_n=128, multistart=0)
+    (label, x0), = _start_battery(_FUNCTIONALS["V"], LJ, settings)
+    _on_cpus(monkeypatch, 2)
+    result = minimize("V", LJ, settings, x0.copy())
+    assert pools == [1]
+    assert multiprocessing.active_children() == []
+    assert (label, result.start_label) == ("homogeneous", "homogeneous")
+
+
+def test_bitwise_overflow_error_on_every_cpu_is_the_serial_loops(monkeypatch, pools):
+    """An epsilon whose energy overflows on the grid raises the serial
+    loop's ValueError, and no worker is left behind."""
+    settings = SolveSettings(lam=1.5, epsilon=1e153, grid_n=32, max_iterations=5)
+    _on_cpus(monkeypatch, 1)
+    with pytest.raises(ValueError, match="overflow") as serial:
+        minimize("E", LJ, settings)
+    _on_cpus(monkeypatch, 3)
+    with pytest.raises(ValueError, match="overflow") as shared:
+        minimize("E", LJ, settings)
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+    assert str(shared.value) == str(serial.value)
+
+
+def test_bitwise_no_worker_forks_beside_a_running_thread(monkeypatch, pools):
+    """Forking a process that runs another thread is unsafe: then the
+    caller descends every start itself."""
+    settings = _BATTERIES[1][1]
+    _on_cpus(monkeypatch, 1)
+    serial = minimize("V", LJ, settings)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60.0,))
+    thread.start()
+    try:
+        _on_cpus(monkeypatch, 3)
+        shared = minimize("V", LJ, settings)
+    finally:
+        release.set()
+        thread.join(timeout=60.0)
+    assert not thread.is_alive()
+    assert pools == []
+    assert multiprocessing.active_children() == []
+    _assert_results_bitwise(shared, serial)
+
+
 @pytest.mark.parametrize(
     "functional, settings",
     [
         ("E", SolveSettings(lam=0.8, epsilon=0.05, grid_n=100)),
         ("V", SolveSettings(lam=0.9, epsilon=0.05, mu=200.0, grid_n=128)),
         ("E", SolveSettings(lam=1.0, epsilon=0.05, grid_n=100)),
+        ("V", SolveSettings(lam=0.9, epsilon=0.002, mu=200.0, grid_n=4000, multistart=0)),
     ],
 )
 def test_a_converged_descent_meets_the_unit_step_residual(functional, settings):
@@ -1142,6 +1265,24 @@ def test_a_converged_descent_meets_the_unit_step_residual(functional, settings):
             assert residual <= GTOL * (1.0 + np.linalg.norm(g))
             converged += 1
     assert converged
+
+
+def test_a_step_that_rounds_away_does_not_fake_convergence():
+    """From the homogeneous V state at N = 4000 the Barzilai-Borwein step
+    falls to ~5e-10, and x - step * g rounds back to x at all but the end
+    nodes, so the first trial's residual reads 0.  The unit-step residual
+    there is hundreds of times the tolerance: the descent must go on and
+    stop without claiming convergence, at the same energy."""
+    settings = SolveSettings(lam=1.5, epsilon=0.08, mu=200.0, grid_n=4000)
+    kind = _FUNCTIONALS["V"]
+    (label, x0), *_ = _start_battery(kind, LJ, settings)
+    x, fx, iterations, converged, history = _descend(x0, kind, settings, LJ)
+    g = kind.gradient_at(kind.geometry(x, settings.lam), settings, LJ)
+    residual = np.linalg.norm(x - kind.project(x - g, settings.lam))
+    assert label == "homogeneous"
+    assert residual > GTOL * (1.0 + np.linalg.norm(g))
+    assert not converged and iterations < settings.max_iterations
+    assert fx / settings.epsilon == pytest.approx(1.3888888889, rel=1e-10)
 
 
 # ------------------------------------------------------------ lower bound
