@@ -15,6 +15,7 @@ from .material import (
     polynomial_model,
 )
 from .regularized import (
+    CellField,
     DiscreteField,
     SolveResult,
     SolveSettings,

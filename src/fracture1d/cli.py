@@ -119,15 +119,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str, what: str) -> str:
+    """A UTF-8 input file's text; one that cannot be read is a ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        why = "not found" if isinstance(exc, FileNotFoundError) else f"cannot be read: {exc}"
+        raise ConfigError(f"{what} {path!r} {why}") from exc
+
+
 def _read_config(path: str | None) -> configparser.ConfigParser:
     """The parsed config file, with every value interpolated once so that
     a malformed file is a ConfigError here and not a traceback later."""
     cp = configparser.ConfigParser()
     if path:
-        if not Path(path).is_file():
-            raise ConfigError(f"config file {path!r} not found")
         try:
-            cp.read(path)
+            cp.read_string(_read_text(path, "config file"), source=path)
             for section in cp.sections():
                 cp.items(section)
         except configparser.Error as exc:
@@ -324,13 +331,10 @@ def _cmd_sweep(merged, config) -> int:
 
 
 def _cmd_reconstruct(merged, config) -> int:
-    path = Path(merged["field"])
-    if not path.is_file():
-        raise ConfigError(f"field file {path} not found")
-    parsed = serialize.parse_field(path.read_text(encoding="utf-8"))
+    parsed = serialize.parse_field(_read_text(merged["field"], "field file"))
     graph = reconstruct_deformation(parsed)
     out = _out_dir(merged)
-    stem = path.stem + "_deformation"
+    stem = Path(merged["field"]).stem + "_deformation"
     _write(out / f"{stem}.csv", serialize.deformation_csv(graph))
     _write(out / f"{stem}.json", serialize.deformation_json(graph))
     print(f"segments={len(graph.segments)} jumps={len(graph.jumps)}")

@@ -20,6 +20,7 @@ import numpy as np
 from .material import MaterialModel, c_wstar
 from .regularized import (
     GTOL,
+    CellField,
     SolveSettings,
     minimize,
     mm_lower_bound_H,
@@ -117,7 +118,7 @@ def _l1(values: np.ndarray, ref: np.ndarray, spacing: float) -> float:
 
 
 def _nearest_by_l1(h, candidates, spacing):
-    l1, name = min((_l1(h, ref, spacing), name) for name, ref in candidates)
+    l1, name = min((float(spacing * np.sum(np.abs(h - ref))), name) for name, ref in candidates)
     return l1, None, None, name
 
 
@@ -136,18 +137,16 @@ def _sweep(functional, model, epsilons, settings, references, nearest, lower_bou
     solve per row at ``settings`` with that row's epsilon, scored against
     the sharp references.
 
-    ``references(cw, nodes)``, called once the inputs are validated, gives
-    the named reference node values and the sharp value (the upper
-    sandwich check is skipped when it is None or 0).  ``nearest(h,
-    references, spacing)`` gives the L1, slope-L1 and sup distances to the
-    closest reference and its name.  ``lower_bound(field, model)`` is the
-    equipartition bound of a minimizer.
+    ``references(cw)``, called once the inputs are validated, gives the
+    named references where the minimizer's values sit and the sharp value
+    (the upper sandwich check is skipped when it is None or 0).
+    ``nearest(values, references, spacing)`` gives the L1, slope-L1 and
+    sup distances to the closest reference and its name, and
+    ``lower_bound(field, model)`` the equipartition bound of a minimizer.
     """
     eps_list = _sorted_epsilons(epsilons)
     cw = c_wstar(model)
-    candidates, sharp_value = references(
-        cw, np.linspace(0.0, settings.lam, settings.grid_n + 1)
-    )
+    candidates, sharp_value = references(cw)
     rows = []
     warm = None
     for eps in eps_list:
@@ -199,17 +198,19 @@ def gamma_sweep_I(
     metadata records as given.
     For stretched bars the references are the two single-crack fields;
     at lam = 1 the unbroken state and below it the homogeneous one, for
-    which the sandwich diagnostics are skipped.
+    which the sandwich diagnostics are skipped.  The L1 distance is
+    d * sum |H - H_ref| over the cells, as V's slope distance.
     """
-    lam = settings.lam
+    lam, n = settings.lam, settings.grid_n
 
-    def references(cw, nodes):
+    def references(cw):
         if lam > 1.0:
+            mids = CellField.grid_points(lam, n)
             return [
-                ("endA", PiecewiseConstantField(lam, (1.0,), (1.0, 0.0)).value_at(nodes)),
-                ("endB", PiecewiseConstantField(lam, (lam - 1.0,), (0.0, 1.0)).value_at(nodes)),
+                ("endA", PiecewiseConstantField(lam, (1.0,), (1.0, 0.0)).value_at(mids)),
+                ("endB", PiecewiseConstantField(lam, (lam - 1.0,), (0.0, 1.0)).value_at(mids)),
             ], cw
-        return [("homogeneous", np.full(nodes.size, 1.0 / lam))], None
+        return [("homogeneous", np.full(n, 1.0 / lam))], None
 
     return _sweep("I", model, epsilons, settings, references, _nearest_by_l1, mm_lower_bound_H)
 
@@ -228,7 +229,8 @@ def gamma_sweep_V(
     """
     lam, mu = settings.lam, settings.mu
 
-    def references(cw, nodes):
+    def references(cw):
+        nodes = np.linspace(0.0, lam, settings.grid_n + 1)
         if lam > 1.0:
             n_star = crack_count(cw, mu, lam)
             fields = [build_sharp_minimizer(n_star, lam, v, cw, mu).field for v in "AB"]

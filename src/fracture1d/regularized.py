@@ -1,12 +1,13 @@
 """Discrete minimization of the gradient-regularized energies.
 
-Fields live on a uniform node grid.  Both functionals are minimized by
-projected gradient descent with Barzilai-Borwein steps safeguarded by
-backtracking along the projected direction; the one projection per
-iteration also certifies convergence.  A descent stops when that
-stationarity test holds, at its iteration cap, or when no step passes
-the line search.  Exact projections (Michelot's
-active-set shift for the mass constraint, pool-adjacent-violators for
+Fields live on a uniform grid of N cells, V's inverse deformation h at
+its nodes and E's inverse stretch H = h' at its cell midpoints.  Both
+functionals are minimized by projected gradient descent with
+Barzilai-Borwein steps safeguarded by backtracking along the projected
+direction; the one projection per iteration also certifies convergence.
+A descent stops when that stationarity test holds, at its iteration
+cap, or when no step passes the line search.  Exact projections
+(Michelot's active-set shift for the mass constraint, PAV for
 monotonicity) and convex combinations of feasible points keep every
 iterate feasible, so energies are meaningful throughout.  Each
 functional is one record of kernels (geometry, energy, gradient,
@@ -42,9 +43,9 @@ from .sharp import (
 
 __all__ = [
     "DiscreteField",
+    "CellField",
     "SolveSettings",
     "SolveResult",
-    "Infeasible",
     "eval_E_eps",
     "grad_E_eps",
     "project_H",
@@ -63,8 +64,22 @@ __all__ = [
 ]
 
 
-class Infeasible(ValueError):
-    """The requested projection target set is empty."""
+# A sweep solves on one grid; eight entries bound what a process that
+# solves on many grids keeps.
+@functools.lru_cache(maxsize=8)
+def _midpoints(lam: float, n_cells: int) -> np.ndarray:
+    """The midpoints (j + 1/2) * lam / n_cells of the cells, built once
+    per grid and shared read-only: where E's values sit."""
+    midpoints = (np.arange(n_cells) + 0.5) * (lam / n_cells)
+    midpoints.flags.writeable = False
+    return midpoints
+
+
+def _check_grid(domain_length: float, values: np.ndarray) -> None:
+    if not 0.0 < domain_length < math.inf:
+        raise ValueError("domain length must be positive and finite")
+    if values.ndim != 1 or values.size < 3:
+        raise ValueError("need at least three values")
 
 
 @dataclass
@@ -94,12 +109,9 @@ class DiscreteField:
         return out
 
     def _check(self):
-        if not 0.0 < self.domain_length < math.inf:
-            raise ValueError("domain length must be positive and finite")
-        if self.values.ndim != 1 or self.values.size < 3:
-            raise ValueError("need at least three node values")
+        _check_grid(self.domain_length, self.values)
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("node values must be finite")
+            raise ValueError("field values must be finite")
 
     @property
     def n_cells(self) -> int:
@@ -109,11 +121,25 @@ class DiscreteField:
     def spacing(self) -> float:
         return self.domain_length / self.n_cells
 
-    def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.domain_length, self.values.size)
+    @staticmethod
+    def grid_points(domain_length: float, n_cells: int) -> np.ndarray:
+        return np.linspace(0.0, domain_length, n_cells + 1)
+
+    def points(self) -> np.ndarray:
+        return self.grid_points(self.domain_length, self.n_cells)
 
     def slopes(self) -> np.ndarray:
         return np.diff(self.values) / self.spacing
+
+
+class CellField(DiscreteField):
+    """N values at the cell midpoints (j + 1/2) * d: E's inverse stretch."""
+
+    grid_points = staticmethod(_midpoints)
+
+    @property
+    def n_cells(self) -> int:
+        return self.values.size
 
 
 # epsilon**2 scales the gradient terms; it must stay a finite float.
@@ -171,11 +197,8 @@ class SolveResult:
 
 
 def eval_E_eps(h_field: DiscreteField, epsilon: float, model: MaterialModel) -> float:
-    """Interfacial energy of an inverse-stretch field.
-
-    Midpoint rule for the squared difference quotient, composite
-    trapezoid for the well term.
-    """
+    """Interfacial energy of N cell values H_j of width d, the inverse
+    stretch: (epsilon^2 / 2d) * sum (H_{j+1} - H_j)^2 + d * sum W*(H_j)."""
     return _e_energy_at(_e_geometry(h_field.values, h_field.domain_length), epsilon, model)
 
 
@@ -202,56 +225,29 @@ def grad_V_eps(
     return _v_grad_at(_v_geometry(h_field.values, lam), lam, epsilon, mu, model)
 
 
-def _trapezoid_weights(n_nodes: int, spacing: float) -> np.ndarray:
-    a = np.full(n_nodes, spacing)
-    a[0] = a[-1] = 0.5 * spacing
-    return a
-
-
-class _Grid(NamedTuple):
-    """Constants of one grid, shared read-only by every call on it."""
-
-    weights: np.ndarray  # trapezoid weights of the nodes
-    weights_sq: float  # weights @ weights, Michelot's first denominator
-    midpoints: np.ndarray  # cell midpoints, where V samples its misfit
-
-
-# A sweep solves on one grid; eight entries bound what a process that
-# solves on many grids keeps.
-@functools.lru_cache(maxsize=8)
-def _grid(n_cells: int, d: float) -> _Grid:
-    weights = _trapezoid_weights(n_cells + 1, d)
-    midpoints = (np.arange(n_cells) + 0.5) * d
-    weights.flags.writeable = midpoints.flags.writeable = False
-    return _Grid(weights, weights @ weights, midpoints)
-
-
 # Each functional's energy and gradient read the same geometry of a point,
 # so a descent computes it once per energy evaluation and hands an
 # accepted point's geometry on to its gradient.
 
 
 def _e_geometry(values, lam):
-    """Node values, cell width and node differences: what the E energy
-    and gradient share."""
-    return values, lam / (values.size - 1), values[1:] - values[:-1]
+    """Cell values, cell width and the differences of neighbouring cells:
+    what the E energy and gradient share."""
+    return values, lam / values.size, values[1:] - values[:-1]
 
 
 def _e_energy_at(geometry, epsilon, model) -> float:
     values, d, dif = geometry
     grad_term = (epsilon**2 / (2.0 * d)) * float(dif @ dif)
-    w = model.wstar(values)
-    well_term = d * (float(np.sum(w)) - 0.5 * (w[0] + w[-1]))
-    return grad_term + well_term
+    return grad_term + d * float(np.sum(model.wstar(values)))
 
 
 def _e_grad_at(geometry, epsilon, model) -> np.ndarray:
     values, d, dif = geometry
     scaled = (epsilon**2 / d) * dif
-    g = np.zeros_like(values)
+    g = d * model.wstar_prime(values)
     g[:-1] -= scaled
     g[1:] += scaled
-    g += _grid(values.size - 1, d).weights * model.wstar_prime(values)
     return g
 
 
@@ -262,7 +258,7 @@ def _v_geometry(values, lam):
     d = lam / n
     slopes = (values[1:] - values[:-1]) / d
     curv = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / d**2
-    misfit = _grid(n, d).midpoints - lam * 0.5 * (values[:-1] + values[1:])
+    misfit = _midpoints(lam, n) - lam * 0.5 * (values[:-1] + values[1:])
     return d, slopes, curv, misfit
 
 
@@ -299,37 +295,32 @@ def _v_grad_at(geometry, lam, epsilon, mu, model) -> np.ndarray:
     return g
 
 
-def project_H(values: Sequence[float], lam: float) -> DiscreteField:
-    """Euclidean projection onto {H >= 0, trapezoid integral = 1}.
+def project_H(values: Sequence[float], lam: float) -> CellField:
+    """Euclidean projection of N cell values onto the simplex
+    {H >= 0, d * sum(H) = 1}, d = lam / N.
 
-    The projection is max(0, raw - theta * a) with a the trapezoid
-    weights.  Michelot's iteration (J. Optim. Theory Appl. 50, 1986)
-    starts with every node active and repeats: theta solves
-    sum_A a (raw - theta a) = 1 on the active set A, and A drops the
-    nodes with raw <= theta * a.  theta never decreases, so A only
-    shrinks, and it never empties, since its terms sum to 1 > 0; the
-    loop ends within n passes (2 on average and at most 6 in the
-    criterion-6 sweep, N = 4001) at a point that meets the optimality
-    conditions, with weighted sum 1 to machine accuracy.  The weights and
-    their squared norm come from the per-grid cache ``_grid``, built once
-    per grid.  The result is a new array, never a view of ``values``.
+    The projection is max(0, raw - tau).  Michelot's iteration (J. Optim.
+    Theory Appl. 50, 1986) starts with every cell active and repeats:
+    tau = (sum_A raw - 1/d) / |A| puts the sum over the active set A on
+    1/d, and A drops the cells with raw <= tau.  tau never decreases, so A
+    only shrinks, and it never empties, since its terms sum to 1/d > 0;
+    the loop ends within N passes at a point that meets the optimality
+    conditions, with d * sum(H) = 1 to machine accuracy.  A domain length
+    or a value count that ``DiscreteField`` rejects raises its ValueError
+    first.  The result is a new array, never a view of ``values``.
     """
-    if not 0.0 < lam < math.inf:
-        raise Infeasible(f"cannot normalize the integral on a domain of length {lam!r}")
     raw = np.asarray(values, dtype=float)
-    if raw.size < 3:
-        raise ValueError("need at least three node values")
-    a, w_sq, _ = _grid(raw.size - 1, lam / (raw.size - 1))
-    r, w = raw, a
+    _check_grid(lam, raw)
+    target = raw.size / lam  # 1/d, the sum of H
+    r = raw
     while True:
-        theta = (w @ r - 1.0) / w_sq
-        keep = r > theta * w
-        # Rounding can drop every node once a spike exceeds about 1e16 / a.
+        tau = (np.sum(r) - target) / r.size
+        keep = r > tau
+        # Rounding can drop every cell once a spike exceeds about 1e16 / d.
         if keep.all() or not keep.any():
-            h = raw - theta * a
-            return DiscreteField._adopt(lam, np.maximum(0.0, h, out=h))
-        r, w = r[keep], w[keep]
-        w_sq = w @ w
+            h = raw - tau
+            return CellField._adopt(lam, np.maximum(0.0, h, out=h))
+        r = r[keep]
 
 
 def isotonic_regression(y: Sequence[float]) -> np.ndarray:
@@ -507,34 +498,31 @@ def mollify_sharp_candidate(
     """Smooth a sharp candidate into a discrete near-minimizer.
 
     Each jump of a step field, or slope step of an inverse deformation,
-    as ``sharp`` finds them, is replaced by the heteroclinic profile.  A
-    smoothed slope is integrated back up and rescaled affinely so the
-    endpoint values survive.
+    as ``sharp`` finds them, is replaced by the heteroclinic profile at
+    the cell midpoints, a ``CellField`` for a step field.  A smoothed
+    slope is integrated up to nodes and rescaled so the ends survive.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     lam = sharp_field.domain_length
+    mids = _midpoints(lam, grid_n)
     if isinstance(sharp_field, PiecewiseConstantField):
-        nodes = np.linspace(0.0, lam, grid_n + 1)
-        return DiscreteField(lam, _mollify_step_values(sharp_field, epsilon, model, nodes))
+        return CellField(lam, _mollify_step_values(sharp_field, epsilon, model, mids))
 
-    d = lam / grid_n
-    mids = _grid(grid_n, d).midpoints
     smooth = _mollify_step_values(sharp_field.slope_steps(), epsilon, model, mids)
-    h = np.concatenate(([0.0], np.cumsum(smooth) * d))
+    h = np.concatenate(([0.0], np.cumsum(smooth) * (lam / grid_n)))
     h /= h[-1]
     h[0] = 0.0
     return DiscreteField(lam, h)
 
 
-def _smooth_noise(rng: np.random.Generator, n_nodes: int) -> np.ndarray:
-    """Random low-frequency bump of six sine modes, vanishing at both ends.
+def _smooth_noise(rng: np.random.Generator, t: np.ndarray) -> np.ndarray:
+    """Random bump of six low sine modes at the points t, zero at 0 and 1.
 
     Smoothness keeps the second-difference energy of perturbed starts
     moderate, so descent is not spent grinding down kink curvature.
     """
-    t = np.linspace(0.0, 1.0, n_nodes)
-    out = np.zeros(n_nodes)
+    out = np.zeros(t.size)
     for k in range(1, 7):
         out += (rng.standard_normal() / k) * np.sin(k * np.pi * t)
     peak = float(np.max(np.abs(out)))
@@ -558,16 +546,17 @@ def _start_battery(
 ) -> list[tuple[str, np.ndarray]]:
     """The homogeneous state (the zero-noise start), mollified sharp
     candidates of a stretched bar (lambda > 1, as in ``sharp``), then
-    seeded random perturbations."""
+    seeded random perturbations, where the functional's values sit."""
     lam, n = settings.lam, settings.grid_n
-    starts = [("homogeneous", kind.start(lam, np.zeros(n + 1)))]
+    t = kind.field.grid_points(1.0, n)
+    starts = [("homogeneous", kind.start(lam, np.zeros(t.size)))]
     if lam > 1.0:
         for label, sharp in kind.sharp_candidates(model, settings):
             cand = mollify_sharp_candidate(sharp, settings.epsilon, model, n)
             starts.append((label, cand.values))
     rng = np.random.default_rng(settings.seed)
     for i in range(settings.multistart):
-        starts.append((f"random-{i}", kind.start(lam, _smooth_noise(rng, n + 1))))
+        starts.append((f"random-{i}", kind.start(lam, _smooth_noise(rng, t))))
     return starts
 
 
@@ -731,9 +720,10 @@ class _Functional(NamedTuple):
 
     geometry: Callable  # (values, lam) -> what the energy and gradient share
     energy_at: Callable  # (geometry, settings, model) -> float
-    gradient_at: Callable  # (geometry, settings, model) -> node gradient
+    gradient_at: Callable  # (geometry, settings, model) -> gradient
     project: Callable  # (values, lam) -> feasible values
     start: Callable  # (lam, noise) -> homogeneous state perturbed by noise
+    field: type  # the class of the minimizer, where its values sit
     sharp_candidates: Callable  # (model, settings) -> [(label, sharp field)]
     transitions: Callable  # DiscreteField -> transition count
 
@@ -747,6 +737,7 @@ _FUNCTIONALS = {
         gradient_at=lambda geo, s, model: _e_grad_at(geo, s.epsilon, model),
         project=lambda v, lam: project_H(v, lam).values,
         start=lambda lam, noise: (1.0 / lam) * (1.0 + 0.6 * noise),
+        field=CellField,
         sharp_candidates=lambda model, s: [
             ("mollified-endA", PiecewiseConstantField(s.lam, (1.0,), (1.0, 0.0))),
             ("mollified-endB", PiecewiseConstantField(s.lam, (s.lam - 1.0,), (0.0, 1.0))),
@@ -759,6 +750,7 @@ _FUNCTIONALS = {
         gradient_at=lambda geo, s, model: _v_grad_at(geo, s.lam, s.epsilon, s.mu, model),
         project=lambda v, lam: project_h(v, lam).values,
         start=lambda lam, noise: np.linspace(0.0, 1.0, noise.size) + 0.25 * noise,
+        field=DiscreteField,
         sharp_candidates=_sharp_neighbours,
         transitions=transition_count_slopes,
     ),
@@ -775,12 +767,12 @@ def minimize(
 
     The battery holds the homogeneous state, mollified sharp candidates
     for crack counts around the predicted one, and seeded random
-    perturbations.  ``warm``, the node values of an earlier solve on the
-    same grid (a sweep's previous row), joins it last as the start
-    labelled "continuation".  The starts descend on every CPU the process
-    may run on, and the best wins, the earlier start on a tie, so the
-    result is the same on any CPU count.  Results never raise on
-    non-convergence; check the ``converged`` flag.  An epsilon so large
+    perturbations.  ``warm``, the values of an earlier solve on the same
+    grid (a sweep's previous row), joins it last as the start labelled
+    "continuation".  The starts descend on every CPU the process may run
+    on, and the best wins, the earlier start on a tie, so the result is
+    the same on any CPU count.  Results never raise on non-convergence;
+    check the ``converged`` flag.  An epsilon so large
     that a start's energy or gradient overflows, or so small that the
     rescaled energy does, raises ValueError.
     """
@@ -789,8 +781,8 @@ def minimize(
         raise ValueError("functional must be 'E' or 'V'")
     starts = _start_battery(kind, model, settings)
     if warm is not None:
-        if np.shape(warm) != (settings.grid_n + 1,):
-            raise ValueError(f"a warm start needs {settings.grid_n + 1} node values")
+        if np.shape(warm) != starts[0][1].shape:  # the homogeneous state's
+            raise ValueError(f"a warm start needs {starts[0][1].size} values")
         starts.append(("continuation", np.asarray(warm, float)))
 
     best = None
@@ -806,7 +798,7 @@ def minimize(
             f"epsilon {settings.epsilon!r} makes the rescaled energy "
             f"{float(fx)!r} / epsilon overflow"
         )
-    out = DiscreteField(settings.lam, x)
+    out = kind.field(settings.lam, x)
     return SolveResult(
         minimizer=out,
         energy=fx,

@@ -82,8 +82,8 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def discrete_csv(field: DiscreteField) -> str:
-    nodes = field.nodes()
-    return _csv_text(("y", "value"), zip(nodes.tolist(), field.values.tolist()))
+    """A (y, value) row per value, at its node or, for a CellField, cell midpoint."""
+    return _csv_text(("y", "value"), zip(field.points().tolist(), field.values.tolist()))
 
 
 def solve_summary_json(result: SolveResult, metadata: dict) -> str:

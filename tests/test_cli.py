@@ -186,6 +186,22 @@ def test_cli_minimize_compression_value(tmp_path):
     assert summary["energy"] == pytest.approx(0.0625, abs=1e-6)
 
 
+def test_cli_minimize_E_writes_one_row_per_cell_at_its_midpoint(tmp_path):
+    lam, n = 1.4, 64
+    rc = main([
+        "minimize", "--functional", "E", "--lambda", str(lam), "--epsilon", "0.05",
+        "--grid", str(n), "--max-iterations", "20", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    lines = (tmp_path / "minimize_E_lambda1.4_mu0_eps0.05.csv").read_text().splitlines()
+    assert lines[0] == "y,value"
+    y, values = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]]).T
+    d = lam / n
+    # The CSV carries 12 significant digits.
+    assert np.allclose(y, (np.arange(n) + 0.5) * d, rtol=1e-12, atol=0.0)
+    assert abs(d * np.sum(values) - 1.0) <= 1e-10
+
+
 def test_cli_minimize_strict_flags_nonconvergence(tmp_path):
     rc = main([
         "minimize", "--functional", "E", "--lambda", "1.4",
@@ -330,6 +346,42 @@ def test_cli_sharp_and_reconstruct_at_a_large_load(tmp_path):
 
 def test_cli_reconstruct_missing_file(tmp_path):
     assert main(["reconstruct", "--field", str(tmp_path / "nope.field")]) == 2
+
+
+@pytest.fixture(params=["proc-self-mem", "no-read-permission", "not-utf8"])
+def unreadable(request, tmp_path):
+    """An input file path that opens and cannot be read as UTF-8 text, or
+    that cannot be opened at all."""
+    if request.param == "proc-self-mem":
+        # It opens, and reading it from offset 0 fails with EIO.
+        if not sys.platform.startswith("linux"):
+            pytest.skip("/proc/self/mem is Linux's")
+        return "/proc/self/mem"
+    path = tmp_path / "input"
+    if request.param == "not-utf8":
+        path.write_bytes(b"[sharp]\nlambda = 1.5 \xff\n")
+        return str(path)
+    if hasattr(os, "geteuid") and os.geteuid() == 0:
+        pytest.skip("root reads a file without read permission")
+    path.write_text("[sharp]\nlambda = 1.5\n", encoding="utf-8")
+    path.chmod(0)
+    return str(path)
+
+
+def test_cli_unreadable_config_exits_2_before_writing(tmp_path, capsys, unreadable):
+    out = tmp_path / "out"
+    assert main(["cwstar", "--config", unreadable]) == 2
+    assert main(["sharp", "--config", unreadable, "--lambda", "1.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: config file") == 2
+    assert not out.exists()
+
+
+def test_cli_unreadable_field_exits_2_before_writing(tmp_path, capsys, unreadable):
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--field", unreadable, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: field file")
+    assert not out.exists()
 
 
 def test_cli_reconstruct_rejects_a_piecewise_constant_field(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracture1d import harness
 from fracture1d.harness import (
     ScanReport,
     SweepReport,
@@ -12,7 +13,7 @@ from fracture1d.harness import (
     gamma_sweep_V,
 )
 from fracture1d.material import builtin_lj
-from fracture1d.regularized import SolveSettings
+from fracture1d.regularized import SolveSettings, minimize
 from fracture1d.sharp import crack_count
 
 LJ = builtin_lj()
@@ -104,6 +105,31 @@ def test_sweep_I_metadata_and_shape():
     assert report.metadata["functional"] == "I"
     assert [row.epsilon for row in report.rows] == [0.1, 0.05]
     assert all(math.isfinite(row.rescaled_energy) for row in report.rows)
+
+
+def test_sweep_I_scores_the_L1_of_the_cell_values(monkeypatch):
+    """E's values sit at the cell midpoints, where the references are
+    sampled, and the distance to them is d * sum |H - H_ref|."""
+    solved = []
+
+    def recording(*args):
+        solved.append(minimize(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(harness, "minimize", recording)
+    lam, n = 1.4, 200
+    report = gamma_sweep_I(
+        LJ, [0.08, 0.04], SolveSettings(lam=lam, epsilon=1.0, grid_n=n, max_iterations=100)
+    )
+    d = lam / n
+    mids = (np.arange(n) + 0.5) * d
+    refs = {"endA": np.where(mids < 1.0, 1.0, 0.0), "endB": np.where(mids < lam - 1.0, 0.0, 1.0)}
+    assert len(solved) == len(report.rows) == 2
+    for row, result in zip(report.rows, solved):
+        assert np.array_equal(result.minimizer.points(), mids)
+        dist = {name: d * np.sum(np.abs(result.minimizer.values - ref)) for name, ref in refs.items()}
+        assert row.nearest_candidate == min(dist, key=dist.get)
+        assert row.l1_distance_to_sharp == pytest.approx(dist[row.nearest_candidate], rel=1e-12)
 
 
 def test_sweep_V_identity_load():

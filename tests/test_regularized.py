@@ -14,9 +14,9 @@ import pytest
 from fracture1d import regularized
 from fracture1d.material import builtin_lj, c_wstar
 from fracture1d.regularized import (
+    CellField,
     DiscreteField,
     GTOL,
-    Infeasible,
     SolveSettings,
     _ARMIJO,
     _BACKTRACK,
@@ -25,9 +25,8 @@ from fracture1d.regularized import (
     _STEP_MAX,
     _STEP_MIN,
     _descend,
-    _grid,
+    _midpoints,
     _start_battery,
-    _trapezoid_weights,
     eval_E_eps,
     eval_V_eps,
     grad_E_eps,
@@ -65,8 +64,8 @@ def test_E_energy_at_the_well_is_zero():
 
 
 def test_E_energy_homogeneous_compression():
-    field = DiscreteField(0.8, np.full(201, 1.25))
-    # lam * wstar(1/lam) = W(0.8) = 0.0625, exact under the trapezoid rule.
+    field = CellField(0.8, np.full(200, 1.25))
+    # lam * wstar(1/lam) = W(0.8) = 0.0625, exact on any number of cells.
     assert eval_E_eps(field, 0.05, LJ) == pytest.approx(0.0625, abs=1e-12)
 
 
@@ -106,11 +105,14 @@ def test_mollified_sharp_minimizer_recovers_v4():
 def test_mollify_leaves_transition_free_fields_alone():
     pc = PiecewiseConstantField(1.0, (), (1.0,))
     field = mollify_sharp_candidate(pc, 0.02, LJ, 64)
-    assert np.array_equal(field.values, np.ones(65))
+    assert isinstance(field, CellField)
+    assert np.array_equal(field.values, np.ones(64))
 
 
 # The mollifier as it was when it found jumps and slope steps by rules of
-# its own, verbatim: the reference for the mollified starts.
+# its own, verbatim but for one line: a step field is sampled at the cell
+# midpoints, as E's values sit there.  The reference for the mollified
+# starts.
 
 
 def _reference_jump_positions(pc: PiecewiseConstantField) -> list[tuple[float, float, float]]:
@@ -145,8 +147,8 @@ def _reference_mollify_step_values(pc, epsilon, model, points):
 def _reference_mollify(sharp_field, epsilon, model, grid_n):
     lam = sharp_field.domain_length
     if isinstance(sharp_field, PiecewiseConstantField):
-        nodes = np.linspace(0.0, lam, grid_n + 1)
-        return DiscreteField(lam, _reference_mollify_step_values(sharp_field, epsilon, model, nodes))
+        mids = (np.arange(grid_n) + 0.5) * (lam / grid_n)
+        return CellField(lam, _reference_mollify_step_values(sharp_field, epsilon, model, mids))
 
     slopes = sharp_field.slopes()
     knots = sharp_field.knots
@@ -264,17 +266,16 @@ def test_grad_V_evaluates_only_the_density_derivative():
 
 def test_grad_E_constant_field_pattern():
     lam, eps, n = 1.1, 0.07, 32
-    field = DiscreteField(lam, np.full(n + 1, 0.6))
+    field = CellField(lam, np.full(n, 0.6))
     g = grad_E_eps(field, eps, LJ)
     d = lam / n
     wp = LJ.wstar_prime(0.6)
-    expected = np.full(n + 1, d * wp)
-    expected[0] = expected[-1] = 0.5 * d * wp
-    assert np.allclose(g, expected, atol=1e-15)
+    # Every cell carries the same weight d: no end correction.
+    assert np.allclose(g, np.full(n, d * wp), atol=1e-15)
 
 
 def test_grad_E_zero_at_the_well():
-    field = DiscreteField(1.0, np.ones(33))
+    field = CellField(1.0, np.ones(32))
     assert np.allclose(grad_E_eps(field, 0.05, LJ), 0.0, atol=1e-15)
 
 
@@ -285,9 +286,7 @@ def _project_H_oracle(raw, lam):
     """Exhaustive active-set enumeration of the projection QP (small N)."""
     raw = np.asarray(raw, dtype=float)
     n = raw.size
-    d = lam / (n - 1)
-    a = np.full(n, d)
-    a[0] = a[-1] = 0.5 * d
+    a = np.full(n, lam / n)  # d * sum(H) = 1: uniform weights d
     best = None
     for mask in range(1, 1 << n):
         keep = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
@@ -307,16 +306,15 @@ def _sorted_project_H(values: Sequence[float], lam: float) -> DiscreteField:
     large-N reference.
 
     The projection has the clipped-affine form max(0, raw - theta * a)
-    with a the trapezoid weight vector.  The weighted sum is piecewise
+    with a the uniform weight vector, every entry d = lam / N.  The
+    weighted sum is piecewise
     linear and decreasing in theta, so theta is located by bisection
     over its clipping breakpoints and then solved exactly on the
     resulting active set; the weighted sum lands on 1 to machine
     accuracy, far inside the 1e-12 feasibility budget.
     """
-    if lam <= 0.0:
-        raise Infeasible("cannot normalize the integral on a nonpositive domain")
     raw = np.asarray(values, dtype=float)
-    a = _trapezoid_weights(raw.size, lam / (raw.size - 1))
+    a = np.full(raw.size, lam / raw.size)
     breaks = raw / a  # component j clips to zero for theta >= breaks[j]
     order = np.argsort(breaks)
     aw = a[order]
@@ -577,7 +575,7 @@ def test_project_H_matches_enumeration_oracle():
 
 def _large_project_H_inputs(n, lam, rng):
     """Random, all-negative, too little mass (theta < 0), a spike, and an
-    already feasible input, on n nodes."""
+    already feasible input, on n cells."""
     t = np.linspace(0.0, 1.0, n)
     smooth = (1.0 / lam) * (1.0 + 0.6 * np.sin(7.0 * t))
     spike = np.zeros(n)
@@ -606,11 +604,12 @@ def test_project_H_matches_the_sorted_projection_at_large_n(n):
 
 @pytest.mark.parametrize("n", [1001, 4001, 16001])
 def test_project_H_meets_the_optimality_conditions(n):
-    """H >= 0 and a.H = 1; with theta solved on the support of H,
-    raw > theta * a and H = raw - theta * a there, raw <= theta * a off it."""
+    """H >= 0 and a.H = 1 with the uniform weights a = d; with theta solved
+    on the support of H, raw > theta * a and H = raw - theta * a there,
+    raw <= theta * a off it."""
     rng = np.random.default_rng(n + 1)
     lam = 1.4
-    a = _trapezoid_weights(n, lam / (n - 1))
+    a = np.full(n, lam / n)
     for name, raw in _large_project_H_inputs(n, lam, rng).items():
         h = project_H(raw, lam).values
         assert np.all(h >= 0.0), name
@@ -626,15 +625,15 @@ def test_project_H_feasible_input_is_fixed():
     field = project_H(np.array([0.2, 1.1, 0.9, 1.4, 0.2]), 1.0)
     again = project_H(field.values, 1.0)
     assert np.max(np.abs(field.values - again.values)) <= 1e-14
-    d = 1.0 / 4
-    assert abs(np.trapezoid(field.values, dx=d) - 1.0) <= 1e-12
+    d = 1.0 / 5
+    assert abs(d * np.sum(field.values) - 1.0) <= 1e-12
 
 
 def test_project_H_zeros_input_lands_on_weight_direction():
-    # The Euclidean projection of zero is proportional to the trapezoid
-    # weights, (2/7, 4/7, 4/7, 4/7, 2/7) for lam = 2, N = 4.
+    # The Euclidean projection of zero is proportional to the uniform
+    # weights: the homogeneous state 1 / lam, 0.5 on every cell for lam = 2.
     out = project_H(np.zeros(5), 2.0).values
-    assert np.allclose(out, np.array([2.0, 4.0, 4.0, 4.0, 2.0]) / 7.0, atol=1e-12)
+    assert np.allclose(out, np.full(5, 0.5), atol=1e-12)
     assert np.allclose(out, _project_H_oracle(np.zeros(5), 2.0), atol=1e-12)
 
 
@@ -643,9 +642,9 @@ def test_project_H_spike_input():
     raw[4] = 50.0
     out = project_H(raw, 1.0)
     assert np.all(out.values >= 0.0)
-    assert abs(np.trapezoid(out.values, dx=1.0 / 8) - 1.0) <= 1e-12
+    assert abs(np.sum(out.values) / 9 - 1.0) <= 1e-12
     assert np.max(np.abs(out.values - _project_H_oracle(raw, 1.0))) <= 1e-10
-    # Rounding leaves no node above theta * a for a spike this tall; the
+    # Rounding leaves no cell above theta * a for a spike this tall; the
     # iteration stops there as the sorted projection does, without 0 / 0.
     raw[4] = 1e20
     with warnings.catch_warnings():
@@ -655,7 +654,7 @@ def test_project_H_spike_input():
 
 
 def test_project_H_rejects_nonpositive_domain():
-    with pytest.raises(Infeasible):
+    with pytest.raises(ValueError, match="domain length"):
         project_H(np.ones(5), 0.0)
 
 
@@ -666,13 +665,13 @@ def test_fields_reject_a_domain_length_that_is_not_positive_and_finite(length):
         DiscreteField(length, values)
     with pytest.raises(ValueError, match="domain length"):
         project_h(values, length)
-    with pytest.raises(Infeasible, match="domain of length"):
+    with pytest.raises(ValueError, match="domain length"):
         project_H(values, length)
 
 
 @pytest.mark.parametrize("values", [[], [1.0], [1.0, 1.0]])
 def test_project_H_rejects_fewer_than_three_values(values):
-    with pytest.raises(ValueError, match="three node values"):
+    with pytest.raises(ValueError, match="three values"):
         project_H(values, 1.0)
 
 
@@ -736,42 +735,37 @@ def test_projection_never_shares_memory_with_its_input(name, proj):
 
 
 def test_per_grid_constants_are_read_only_and_unchanged_by_minimize(monkeypatch):
-    """The trapezoid weights, their squared norm and V's cell midpoints are
-    built once per grid and shared by every call on it.  A write to them
-    raises, and a full solve of E and of V leaves them as built, whether
-    the caller descends every start or shares them with workers.  The
-    cache hits are counted on one CPU, where every descent is the
-    caller's."""
+    """The cell midpoints, where V samples its misfit and the mollifier
+    its step fields, are built once per grid and shared by every call on
+    it.  A write to them raises, and a full solve of E and of V leaves
+    them as built, whether the caller descends every start or shares them
+    with workers.  The cache hits are counted on one CPU, where every
+    descent is the caller's."""
     runs = [
         ("E", SolveSettings(lam=1.4, epsilon=0.05, grid_n=300, max_iterations=60)),
         ("V", SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=200, max_iterations=60)),
     ]
-    keys = [(s.grid_n, s.lam / s.grid_n) for _, s in runs]
-    grids = [_grid(*key) for key in keys]
-    copies = [(g.weights.copy(), g.weights_sq, g.midpoints.copy()) for g in grids]
-    hits = _grid.cache_info().hits
+    keys = [(s.lam, s.grid_n) for _, s in runs]
+    grids = [_midpoints(*key) for key in keys]
+    copies = [g.copy() for g in grids]
+    hits = _midpoints.cache_info().hits
     with monkeypatch.context() as m:
         _on_cpus(m, 1)
         for functional, settings in runs:
             minimize(functional, LJ, settings)
-    assert _grid.cache_info().hits > hits + 1000
+    assert _midpoints.cache_info().hits > hits + 1000
     _on_cpus(monkeypatch, 3)
     for functional, settings in runs:
         minimize(functional, LJ, settings)
-    for (n, d), grid, (weights, weights_sq, midpoints) in zip(keys, grids, copies):
-        assert _grid(n, d) is grid
-        for arr in (grid.weights, grid.midpoints):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
-        assert np.array_equal(grid.weights, weights)
-        assert grid.weights_sq == weights_sq
-        assert np.array_equal(grid.midpoints, midpoints)
+    for (lam, n), grid, midpoints in zip(keys, grids, copies):
+        assert _midpoints(lam, n) is grid
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+        assert np.array_equal(grid, midpoints)
         # As the uncached code built them on every call.
-        assert np.array_equal(weights, _trapezoid_weights(n + 1, d))
-        assert weights_sq == weights @ weights
-        assert np.array_equal(midpoints, (np.arange(n) + 0.5) * d)
-    assert _grid.cache_info().maxsize is not None
+        assert np.array_equal(midpoints, (np.arange(n) + 0.5) * (lam / n))
+    assert _midpoints.cache_info().maxsize is not None
 
 
 def test_projections_beat_random_feasible_points():
@@ -790,6 +784,33 @@ def test_projections_beat_random_feasible_points():
     for _ in range(1000):
         cand = project_h(rng.standard_normal(11) * 2.0, lam).values
         assert np.sum((cand - rawh) ** 2) >= my_dist_h - 1e-12
+
+
+def test_E_fields_are_cell_fields_of_unit_mass():
+    """E's projections, mollified starts and minimizers hold one value per
+    cell, at the cell midpoints.  The projections, the starts as the
+    descent takes them and the minimizer have d * sum(H) = 1 within 1e-12."""
+    lam, n = 1.4, 300
+    d = lam / n
+    settings = SolveSettings(lam=lam, epsilon=0.05, grid_n=n, max_iterations=60)
+    rng = np.random.default_rng(71)
+    projected = [project_H(1.0 / lam + 0.4 * rng.standard_normal(n), lam) for _ in range(5)]
+    mollified = [
+        mollify_sharp_candidate(sharp, settings.epsilon, LJ, n)
+        for _, sharp in _FUNCTIONALS["E"].sharp_candidates(LJ, settings)
+    ]
+    starts = [
+        project_H(x0, lam) for _, x0 in _start_battery(_FUNCTIONALS["E"], LJ, settings)
+    ]
+    result = minimize("E", LJ, settings)
+    for field in projected + mollified + starts + [result.minimizer]:
+        assert type(field) is CellField
+        assert field.values.size == field.n_cells == n
+        assert field.spacing == d
+        assert np.array_equal(field.points(), (np.arange(n) + 0.5) * d)
+    assert len(mollified) == 2 and len(starts) == 5
+    for field in projected + starts + [result.minimizer]:
+        assert abs(d * np.sum(field.values) - 1.0) <= 1e-12
 
 
 # ------------------------------------------------------------ transitions
@@ -875,8 +896,11 @@ def test_minimize_rejects_a_warm_start_on_another_grid():
     coarse = SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=16)
     warm = minimize("V", LJ, coarse).minimizer.values
     fine = dataclasses.replace(coarse, grid_n=400, max_iterations=3)
-    with pytest.raises(ValueError, match="401 node values"):
+    with pytest.raises(ValueError, match="401 values"):
         minimize("V", LJ, fine, warm)
+    # E's values sit on the 400 cells.
+    with pytest.raises(ValueError, match="400 values"):
+        minimize("E", LJ, fine, np.full(401, 1.0 / 1.5))
 
 
 def test_minimize_is_deterministic_for_a_seed():
@@ -1043,7 +1067,7 @@ def test_every_descent_ends_converged_or_at_the_cap(epsilon):
 def test_every_point_the_descent_evaluates_is_feasible(functional, settings):
     """Backtracking trials are convex combinations x + t d of two feasible
     points and are never projected: they must stay feasible anyway.  E:
-    H >= 0 exactly and the trapezoid integral is 1 within 1e-12.  V: the
+    H >= 0 exactly and d * sum(H) is 1 within 1e-12.  V: the
     ends are exactly 0 and 1 and h never drops."""
     d = settings.lam / settings.grid_n
     seen = {"mass": 0.0, "points": 0, "projections": 0}
@@ -1052,7 +1076,8 @@ def test_every_point_the_descent_evaluates_is_feasible(functional, settings):
         seen["points"] += 1
         if functional == "E":
             assert np.all(v >= 0.0)
-            mass = d * (float(np.sum(v)) - 0.5 * (v[0] + v[-1]))
+            assert v.size == settings.grid_n
+            mass = d * float(np.sum(v))
             seen["mass"] = max(seen["mass"], abs(mass - 1.0))
         else:
             assert v[0] == 0.0 and v[-1] == 1.0
