@@ -111,7 +111,7 @@ def _sorted_epsilons(epsilons: Sequence[float]) -> list[float]:
 
 
 def _l1(values: np.ndarray, ref: np.ndarray, spacing: float) -> float:
-    # Cell-midpoint rule sidesteps the ambiguity at jump nodes.
+    # Midpoint-rule L1 distance of two node fields: a cell reads its nodes' mean.
     mid = 0.5 * (values[:-1] + values[1:])
     ref_mid = 0.5 * (ref[:-1] + ref[1:])
     return float(spacing * np.sum(np.abs(mid - ref_mid)))
@@ -139,7 +139,7 @@ def _sweep(functional, model, epsilons, settings, references, nearest, lower_bou
 
     ``references(cw)``, called once the inputs are validated, gives the
     named references where the minimizer's values sit and the sharp value
-    (the upper sandwich check is skipped when it is None or 0).
+    (None skips the upper sandwich check).
     ``nearest(values, references, spacing)`` gives the L1, slope-L1 and
     sup distances to the closest reference and its name, and
     ``lower_bound(field, model)`` the equipartition bound of a minimizer.
@@ -157,7 +157,7 @@ def _sweep(functional, model, epsilons, settings, references, nearest, lower_bou
         )
         bound = lower_bound(result.minimizer, model)
         suspect = result.rescaled_energy < _LOWER_SLACK * bound
-        if sharp_value:
+        if sharp_value is not None:
             suspect = suspect or result.rescaled_energy > _UPPER_SLACK * sharp_value
         rows.append(
             SweepRow(
@@ -198,7 +198,7 @@ def gamma_sweep_I(
     metadata records as given.
     For stretched bars the references are the two single-crack fields;
     at lam = 1 the unbroken state and below it the homogeneous one, for
-    which the sandwich diagnostics are skipped.  The L1 distance is
+    which the upper sandwich check is skipped.  The L1 distance is
     d * sum |H - H_ref| over the cells, as V's slope distance.
     """
     lam, n = settings.lam, settings.grid_n
@@ -223,9 +223,10 @@ def gamma_sweep_V(
     ``settings`` gives the load, the foundation stiffness, the grid and
     the solver controls; its epsilon is replaced row by row.  References
     of a stretched bar (lambda > 1) are both variants of the predicted
-    minimizing configuration, and otherwise the homogeneous state;
-    distances are reported in L1 of the field, L1 of the slopes (the
-    discrete first-derivative seminorm proxy) and sup norm.
+    minimizing configuration, and otherwise the homogeneous state, for
+    which the upper sandwich check is skipped; distances are reported in
+    L1 of the field, L1 of the slopes (the discrete first-derivative
+    seminorm proxy) and sup norm.
     """
     lam, mu = settings.lam, settings.mu
 
@@ -237,8 +238,7 @@ def gamma_sweep_V(
             return [
                 (f"variant{v}(n={n_star})", f.value_at(nodes)) for v, f in zip("AB", fields)
             ], v_n(n_star, cw, mu, lam)
-        sharp_value = None if lam < 1.0 else 0.0
-        return [("homogeneous", np.linspace(0.0, 1.0, nodes.size))], sharp_value
+        return [("homogeneous", np.linspace(0.0, 1.0, nodes.size))], None
 
     return _sweep(
         "V", model, epsilons, settings, references, _nearest_by_slopes, mm_lower_bound_slopes

@@ -2,11 +2,13 @@
 
 Fields live on a uniform grid of N cells, V's inverse deformation h at
 its nodes and E's inverse stretch H = h' at its cell midpoints.  Both
-functionals are minimized by projected gradient descent with
-Barzilai-Borwein steps safeguarded by backtracking along the projected
-direction; the one projection per iteration also certifies convergence.
-A descent stops when that stationarity test holds, at its iteration
-cap, or when no step passes the line search.  Exact projections
+share one interfacial kernel: V's energy and gradient are E's at its
+slopes plus the foundation term.  Both functionals are minimized by
+projected gradient descent with Barzilai-Borwein steps safeguarded by
+backtracking along the projected direction; the one projection per
+iteration also certifies convergence.  A descent stops when that
+stationarity test holds, at its iteration cap, or when no step passes
+the line search.  Exact projections
 (Michelot's active-set shift for the mass constraint, PAV for
 monotonicity) and convex combinations of feasible points keep every
 iterate feasible, so energies are meaningful throughout.  Each
@@ -211,9 +213,10 @@ def eval_V_eps(
 ) -> float:
     """Foundation-coupled energy with stiffness k = epsilon * mu.
 
-    Second differences carry the interfacial part; the well term is
-    evaluated at forward-difference slopes; the misfit term is sampled
-    at cell midpoints.  Divide by epsilon for the rescaled value.
+    The interfacial part is ``eval_E_eps`` of the slopes
+    H_j = (h_{j+1} - h_j) / d; the foundation term adds
+    (k d / 2) * sum H_j m_j^2 with the misfit m = y - lam * h at the cell
+    midpoints.  Divide by epsilon for the rescaled value.
     """
     return _v_energy_at(_v_geometry(h_field.values, h_field.domain_length), epsilon, mu, model)
 
@@ -252,46 +255,35 @@ def _e_grad_at(geometry, epsilon, model) -> np.ndarray:
 
 
 def _v_geometry(values, lam):
-    """Cell width, forward-difference slopes, second differences and the
-    misfit at cell midpoints: what the V energy and gradient share."""
+    """E's cell geometry of the slopes H_j = (h_{j+1} - h_j) / d and the
+    misfit at the cell midpoints: what the V energy and gradient share."""
     n = values.size - 1
-    d = lam / n
-    slopes = (values[1:] - values[:-1]) / d
-    curv = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / d**2
+    cells = _e_geometry((values[1:] - values[:-1]) / (lam / n), lam)
     misfit = _midpoints(lam, n) - lam * 0.5 * (values[:-1] + values[1:])
-    return d, slopes, curv, misfit
+    return cells, misfit
 
 
 def _v_energy_at(geometry, epsilon, mu, model) -> float:
-    d, slopes, curv, misfit = geometry
-    bend = 0.5 * epsilon**2 * d * float(curv @ curv)
-    well = d * float(np.sum(model.wstar(slopes)))
+    cells, misfit = geometry
+    slopes, d, _ = cells
     # Stiffness k = epsilon * mu keeps the misfit term at unit order
     # after rescaling by 1/epsilon.
     foundation = d * 0.5 * epsilon * mu * float((slopes * misfit) @ misfit)
-    return bend + well + foundation
+    return _e_energy_at(cells, epsilon, model) + foundation
 
 
 def _v_grad_at(geometry, lam, epsilon, mu, model) -> np.ndarray:
-    d, slopes, curv, misfit = geometry
-    curv_full = np.zeros(slopes.size + 1)
-    curv_full[1:-1] = curv
-    g = -2.0 * curv_full
-    g[:-1] += curv_full[1:]
-    g[1:] += curv_full[:-1]
-    g *= epsilon**2 / d
-
-    wp = model.wstar_prime(slopes)
-    g[1:] += wp
-    g[:-1] -= wp
-
+    cells, misfit = geometry
+    slopes, d, _ = cells
     k = epsilon * mu
-    by_slope = 0.5 * k * misfit**2
-    g[1:] += by_slope
-    g[:-1] -= by_slope
+    # H_j = (h_{j+1} - h_j) / d puts a derivative in H_j, divided by d, on
+    # node j + 1 and its negative on node j; the misfit reads the midpoint
+    # value (h_j + h_{j+1}) / 2, so both nodes get half of its derivative.
+    by_slope = _e_grad_at(cells, epsilon, model) / d + 0.5 * k * misfit**2
     by_value = -0.5 * d * k * lam * slopes * misfit
-    g[1:] += by_value
-    g[:-1] += by_value
+    g = np.zeros(slopes.size + 1)
+    g[1:] = by_slope + by_value
+    g[:-1] += by_value - by_slope
     return g
 
 
@@ -303,11 +295,12 @@ def project_H(values: Sequence[float], lam: float) -> CellField:
     Theory Appl. 50, 1986) starts with every cell active and repeats:
     tau = (sum_A raw - 1/d) / |A| puts the sum over the active set A on
     1/d, and A drops the cells with raw <= tau.  tau never decreases, so A
-    only shrinks, and it never empties, since its terms sum to 1/d > 0;
-    the loop ends within N passes at a point that meets the optimality
-    conditions, with d * sum(H) = 1 to machine accuracy.  A domain length
-    or a value count that ``DiscreteField`` rejects raises its ValueError
-    first.  The result is a new array, never a view of ``values``.
+    only shrinks, and in exact arithmetic it never empties, since its
+    terms sum to 1/d > 0; the loop ends within N passes at a point that
+    meets the optimality conditions, with d * sum(H) = 1 to machine
+    accuracy.  A domain length or a value count that ``DiscreteField``
+    rejects raises its ValueError first.  The result is a new array,
+    never a view of ``values``.
     """
     raw = np.asarray(values, dtype=float)
     _check_grid(lam, raw)
@@ -316,10 +309,14 @@ def project_H(values: Sequence[float], lam: float) -> CellField:
     while True:
         tau = (np.sum(r) - target) / r.size
         keep = r > tau
-        # Rounding can drop every cell once a spike exceeds about 1e16 / d.
-        if keep.all() or not keep.any():
+        if keep.all():
             h = raw - tau
             return CellField._adopt(lam, np.maximum(0.0, h, out=h))
+        if not keep.any():
+            # Rounding drops every cell once a spike exceeds about 2^53 / d.
+            # The last active set, the cells at or above its least value,
+            # agrees to rounding, so its cells share the mass 1/d equally.
+            return CellField._adopt(lam, np.where(raw >= r.min(), target / r.size, 0.0))
         r = r[keep]
 
 

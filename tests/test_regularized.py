@@ -244,6 +244,26 @@ def test_grad_V_matches_finite_differences(lam, mu, eps):
         assert rel <= 1e-6
 
 
+@pytest.mark.parametrize("n", [40, 200, 1000])
+def test_V_is_bitwise_E_of_its_slopes_at_mu_0(n):
+    """At mu = 0, V is E's interfacial energy of the slopes H = h': its
+    energy is E's at those cell values, and its gradient is E's divided
+    by d and scattered onto the nodes, + on the right and - on the left."""
+    lam, eps = 1.5, 0.05
+    d = lam / n
+    rng = np.random.default_rng(n)
+    ramp = project_h(np.linspace(0.0, 1.0, n + 1) + 0.1 * rng.standard_normal(n + 1), lam)
+    sharp = build_sharp_minimizer(4, lam, "A", c_wstar(LJ), 200.0).field
+    for h in (ramp, mollify_sharp_candidate(sharp, eps, LJ, n)):
+        cells = CellField(lam, h.slopes())
+        assert eval_V_eps(h, eps, 0.0, LJ) == eval_E_eps(cells, eps, LJ)
+        by_slope = grad_E_eps(cells, eps, LJ) / d
+        scattered = np.zeros(n + 1)
+        scattered[1:] += by_slope
+        scattered[:-1] -= by_slope
+        assert np.array_equal(grad_V_eps(h, eps, 0.0, LJ), scattered)
+
+
 def test_grad_V_evaluates_only_the_density_derivative():
     calls = {"wstar": 0, "wstar_prime": 0}
 
@@ -644,13 +664,19 @@ def test_project_H_spike_input():
     assert np.all(out.values >= 0.0)
     assert abs(np.sum(out.values) / 9 - 1.0) <= 1e-12
     assert np.max(np.abs(out.values - _project_H_oracle(raw, 1.0))) <= 1e-10
-    # Rounding leaves no cell above theta * a for a spike this tall; the
-    # iteration stops there as the sorted projection does, without 0 / 0.
+    # Rounding leaves no cell above theta * a for a spike this tall, and
+    # raw - theta cancels to nothing; the mass 1/d = 9 still lands on the
+    # spike, without 0 / 0, and two equal spikes share it.
     raw[4] = 1e20
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = project_H(raw, 1.0)
-    assert np.array_equal(out.values, _sorted_project_H(raw, 1.0).values)
+        expected = np.zeros(9)
+        expected[4] = 9.0
+        assert np.array_equal(out.values, expected)
+        raw[2] = 1e20
+        expected[[2, 4]] = 4.5
+        assert np.array_equal(project_H(raw, 1.0).values, expected)
 
 
 def test_project_H_rejects_nonpositive_domain():
