@@ -4,12 +4,13 @@ One command per invocation: cwstar, sharp, minimize, scan, sweep,
 reconstruct.  Every flag can come from a config file (INI sections
 named after the commands, plus an optional [model] section defining a
 custom polynomial density); command-line values win.  Exit codes:
-0 success, 2 domain or configuration error, 3 non-convergence under
---strict.  Each value's range is checked by the library function that
-owns it, so a rejected value (NaN and infinity included) exits 2 before
-anything is written.  An ``--out`` that is, or lies under, an existing
-file exits 2 before any computation; otherwise ``--out`` is created only
-when a command has output to write, after its computation.
+0 success, 2 domain or configuration error (a grid too large to
+allocate included), 3 non-convergence under --strict.  Each value's
+range is checked by the library function that owns it, so a rejected
+value (NaN and infinity included) exits 2 before anything is written.
+An ``--out`` that is, or lies under, an existing file exits 2 before
+any computation; otherwise ``--out`` is created only when a command has
+output to write, after its computation.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def _settings(merged) -> SolveSettings:
 def _cmd_minimize(merged, config) -> int:
     settings = _settings(merged)
     model = _model(merged, config)
-    result = run_minimize(merged["functional"], model, settings)
+    (result,) = run_minimize(merged["functional"], model, [settings])
     out = _out_dir(merged)
     stem = (
         f"minimize_{merged['functional']}_lambda{merged['lambda']:g}"
@@ -359,7 +360,7 @@ def main(argv=None) -> int:
         config = _read_config(getattr(args, "config", None))
         merged = _gather(args, config)
         return _COMMANDS[args.command][1](merged, config)
-    except (NonConvergence, ValueError) as exc:
+    except (NonConvergence, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

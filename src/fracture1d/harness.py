@@ -134,8 +134,8 @@ def _nearest_by_slopes(h, candidates, spacing):
 
 def _sweep(functional, model, epsilons, settings, references, nearest, lower_bound) -> SweepReport:
     """Continuation over the decreasing ``epsilons``, one best-of-multistart
-    solve per row at ``settings`` with that row's epsilon, scored against
-    the sharp references.
+    solve per row at ``settings`` with that row's epsilon, all rows in one
+    ``minimize`` call, scored against the sharp references.
 
     ``references(cw)``, called once the inputs are validated, gives the
     named references where the minimizer's values sit and the sharp value
@@ -147,11 +147,11 @@ def _sweep(functional, model, epsilons, settings, references, nearest, lower_bou
     eps_list = _sorted_epsilons(epsilons)
     cw = c_wstar(model)
     candidates, sharp_value = references(cw)
+    results = minimize(
+        _SOLVED[functional], model, [replace(settings, epsilon=eps) for eps in eps_list]
+    )
     rows = []
-    warm = None
-    for eps in eps_list:
-        result = minimize(_SOLVED[functional], model, replace(settings, epsilon=eps), warm)
-        warm = result.minimizer.values
+    for eps, result in zip(eps_list, results):
         l1, slope_dist, sup, name = nearest(
             result.minimizer.values, candidates, result.minimizer.spacing
         )

@@ -93,12 +93,15 @@ def builtin_lj() -> MaterialModel:
 
     def wstar(h):
         h = np.asarray(h, dtype=float)
-        out = h * (1.0 - h) ** 2
+        out = 1.0 - h
+        out *= out
+        out *= h
         return float(out) if out.ndim == 0 else out
 
     def wstar_prime(h):
         h = np.asarray(h, dtype=float)
-        out = (1.0 - h) * (1.0 - 3.0 * h)
+        out = 1.0 - 3.0 * h
+        out *= 1.0 - h
         return float(out) if out.ndim == 0 else out
 
     model = MaterialModel("lj", wstar, wstar_prime, (0.25, 2.0))

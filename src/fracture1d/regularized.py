@@ -14,9 +14,11 @@ monotonicity) and convex combinations of feasible points keep every
 iterate feasible, so energies are meaningful throughout.  Each
 functional is one record of kernels (geometry, energy, gradient,
 projection) that the descent calls itself: the gradient at an accepted
-point reads the geometry that the point's energy evaluation built.  The
-starts of a solve descend independently, on every CPU of the process's
-affinity mask, with the same result on any count.
+point reads the geometry that the point's energy evaluation built.  A
+solve has one or more rows, each row after the first continued from the
+minimizer of the one before it; the starts of all rows descend from one
+queue on every CPU of the process's affinity mask, with the same result
+on any count.
 
 The foundation-coupled energy is the unrescaled one with interaction
 stiffness k = epsilon * mu; dividing by epsilon gives the quantity that
@@ -112,7 +114,7 @@ class DiscreteField:
 
     def _check(self):
         _check_grid(self.domain_length, self.values)
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("field values must be finite")
 
     @property
@@ -147,6 +149,11 @@ class CellField(DiscreteField):
 # epsilon**2 scales the gradient terms; it must stay a finite float.
 _EPSILON_MAX = float(np.sqrt(np.finfo(float).max))
 
+# Each random start is a full descent, and a solve builds every row's
+# starts before the first descends, so a larger count only exhausts
+# the time or memory of the run.
+_MULTISTART_MAX = 1000
+
 
 @dataclass
 class SolveSettings:
@@ -180,8 +187,10 @@ class SolveSettings:
             raise ValueError("grid_n must be at least 16")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.multistart < 0:
-            raise ValueError("multistart must be nonnegative")
+        if not 0 <= self.multistart <= _MULTISTART_MAX:
+            raise ValueError(
+                f"multistart must be between 0 and {_MULTISTART_MAX}, got {self.multistart!r}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
@@ -242,13 +251,14 @@ def _e_geometry(values, lam):
 def _e_energy_at(geometry, epsilon, model) -> float:
     values, d, dif = geometry
     grad_term = (epsilon**2 / (2.0 * d)) * float(dif @ dif)
-    return grad_term + d * float(np.sum(model.wstar(values)))
+    return grad_term + d * float(model.wstar(values).sum())
 
 
 def _e_grad_at(geometry, epsilon, model) -> np.ndarray:
     values, d, dif = geometry
     scaled = (epsilon**2 / d) * dif
-    g = d * model.wstar_prime(values)
+    g = model.wstar_prime(values)
+    g *= d
     g[:-1] -= scaled
     g[1:] += scaled
     return g
@@ -307,7 +317,7 @@ def project_H(values: Sequence[float], lam: float) -> CellField:
     target = raw.size / lam  # 1/d, the sum of H
     r = raw
     while True:
-        tau = (np.sum(r) - target) / r.size
+        tau = (r.sum() - target) / r.size
         keep = r > tau
         if keep.all():
             h = raw - tau
@@ -650,66 +660,156 @@ def _descend(
     return x, fx, iterations, converged, history
 
 
-# A pool worker's descent of one start of the battery, set by the pool's
-# initializer in the worker process only.
-_worker_descend = None
-
-
-def _adopt_descend(descend: Callable[[int], tuple]) -> None:
-    global _worker_descend
-    _worker_descend = descend
-
-
-def _descend_in_worker(index: int) -> tuple:
-    return _worker_descend(index)
-
-
 def _descend_all(
-    starts: list[tuple[str, np.ndarray]],
+    batteries: list[list[tuple[str, np.ndarray]]],
     kind: _Functional,
-    settings: SolveSettings,
+    rows: Sequence[SolveSettings],
     model: MaterialModel,
-) -> list[tuple]:
-    """Each start's ``_descend`` tuple, in battery order.
+) -> list:
+    """Each row's winning descent, ``(x, fx, iterations, converged,
+    history, label)``, in row order up to the first row with a start that
+    raised ValueError, which holds the error of its earliest such start.
 
-    The descents are independent, so they run on the CPUs of the
-    process's affinity mask: the caller descends too, beside one forked
-    worker per further CPU and at most one fewer than there are starts.
-    Every start is submitted; workers take starts from the front, and the
-    caller descends from the back each one it can still cancel.  A task
-    sends only its start's index and a worker sends back only the tuple,
-    whose floats pickle exactly, so the results are the serial loop's bit
-    for bit on any CPU count.  The battery reaches the workers through
-    fork, unpickled, since the functional's kernels and a model's
-    densities may be closures.  Forking a process that runs other threads
-    is unsafe, so then, with one CPU, or without fork, the caller descends
-    every start itself.  No worker outlives the call.
+    Row r > 0 has one start more than its battery, "continuation", row
+    r - 1's winner, which can descend only once that row is done.  The
+    starts of all rows form one queue, and each process takes its next
+    start from it when it is free: a ready continuation first, else the
+    next battery start in row order.  The processes are the caller and
+    one forked worker per further CPU of the affinity mask, at most one
+    fewer than there are starts.  Forking a process that runs other
+    threads is unsafe, so then, with one CPU, or without fork, the caller
+    descends every start itself.
+
+    The queue, and each row's count of starts to go and its best energy,
+    start and values so far, live in memory the processes share, under
+    one lock.  The process that finishes a row's last start is free, and
+    takes the next row's continuation itself, so a process that finds the
+    queue empty has nothing left to wait for and stops.  A row's winner is
+    its least energy, the earlier start in battery order on a tie, as in
+    the serial loop, whichever process finished first, so the results are
+    the one-CPU run's bit for bit.  Each process keeps the descents that
+    are still some row's best and the ValueErrors of starts that
+    overflowed, and a worker sends them to the caller when it stops;
+    floats pickle exactly.  Such an error keeps the rows after its own
+    from starting.  Any other exception propagates: the caller's at once,
+    and a worker's, which ends that worker before it sends its descents,
+    as a RuntimeError.  The batteries reach the workers through fork,
+    unpickled, since the functional's kernels and a model's densities may
+    be closures.  No worker outlives the call.
     """
-
-    def descend(index: int) -> tuple:
-        return _descend(starts[index][1], kind, settings, model)
-
+    order = [(r, i) for r, battery in enumerate(batteries) for i in range(len(battery))]
+    n_rows, size = len(rows), batteries[0][0][1].size
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(starts)) - 1
+    workers = min(cpus, len(order) + n_rows - 1) - 1
+    fork = None
     if workers > 0 and threading.active_count() == 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
+            fork = multiprocessing.get_context("fork")
 
-            pool = ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_adopt_descend,
-                initargs=(descend,),
-            )
+    # The next battery start, the row whose continuation is ready (-1 for
+    # none) and the first row not to start; then each row's starts to go,
+    # best energy and best start; then each row's best values.
+    words = 3 + n_rows * (3 + size)
+    if fork is None:
+        block = np.empty(words)
+    else:
+        import mmap
+
+        block = np.frombuffer(mmap.mmap(-1, 8 * words), dtype=float)
+    queue = block[:3]
+    left, best_f, best_i = block[3 : 3 + 3 * n_rows].reshape(3, n_rows)
+    best_x = block[3 + 3 * n_rows :].reshape(n_rows, size)
+    queue[:] = (0, -1, n_rows)
+    left[:] = [len(battery) + (r > 0) for r, battery in enumerate(batteries)]
+    best_f[:], best_i[:] = np.inf, -1
+
+    def take():
+        ready = int(queue[1])
+        if ready >= 0:
+            queue[1] = -1
+            return ready, len(batteries[ready])
+        k = int(queue[0])
+        if k < len(order) and order[k][0] < queue[2]:
+            queue[0] = k + 1
+            return order[k]
+        return None
+
+    def finish(r, i, outcome):
+        left[r] -= 1
+        if isinstance(outcome, ValueError):
+            queue[2] = min(queue[2], r + 1)
+        elif (outcome[1], i) < (best_f[r], best_i[r]):
+            best_f[r], best_i[r] = outcome[1], i
+            best_x[r] = outcome[0]
+        if left[r] == 0 and r + 1 < queue[2]:
+            queue[1] = r + 1
+
+    def work(lock) -> dict:
+        kept, done = {}, None
+        while True:
+            with lock:
+                if done is not None:
+                    finish(*done)
+                    kept = {
+                        (r, i): outcome
+                        for (r, i), outcome in kept.items()
+                        if isinstance(outcome, ValueError) or best_i[r] == i
+                    }
+                task = take()
+            if task is None:
+                return kept
+            r, i = task
+            x0 = batteries[r][i][1] if i < len(batteries[r]) else best_x[r - 1].copy()
             try:
-                futures = [pool.submit(_descend_in_worker, i) for i in range(len(starts))]
-                own = {i: descend(i) for i in reversed(range(len(starts))) if futures[i].cancel()}
-                return [own[i] if i in own else f.result() for i, f in enumerate(futures)]
-            finally:
-                pool.shutdown(cancel_futures=True)
-    return [descend(i) for i in range(len(starts))]
+                kept[task] = _descend(x0, kind, rows[r], model)
+            except ValueError as exc:  # an epsilon that overflows the start
+                kept[task] = exc
+            done = (r, i, kept[task])
+
+    if fork is None:
+        kept = work(threading.Lock())
+    else:
+        lock = fork.Lock()
+        procs = []
+        try:
+            for _ in range(workers):
+                reader, writer = fork.Pipe(duplex=False)
+                proc = fork.Process(target=lambda w=writer: w.send(work(lock)), daemon=True)
+                proc.start()
+                writer.close()
+                procs.append((proc, reader))
+            kept = work(lock)
+            for proc, reader in procs:
+                try:
+                    kept.update(reader.recv())
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(
+                        f"a descent worker died with exit code {proc.exitcode}"
+                    ) from None
+                proc.join()
+        finally:
+            for proc, reader in procs:
+                if proc.exitcode is None:  # the call failed before this worker ended
+                    proc.terminate()
+                    proc.join()
+                reader.close()
+
+    winners = []
+    for r, battery in enumerate(batteries):
+        failed = [
+            kept[r, i]
+            for i in range(len(battery) + (r > 0))
+            if isinstance(kept.get((r, i)), ValueError)
+        ]
+        if failed:
+            winners.append(failed[0])
+            break
+        i = int(best_i[r])
+        winners.append((*kept[r, i], battery[i][0] if i < len(battery) else "continuation"))
+    return winners
 
 
 class _Functional(NamedTuple):
@@ -757,52 +857,64 @@ _FUNCTIONALS = {
 def minimize(
     functional: str,
     model: MaterialModel,
-    settings: SolveSettings,
+    rows: Sequence[SolveSettings],
     warm: np.ndarray | None = None,
-) -> SolveResult:
-    """Best-of-multistart projected gradient descent on E or V.
+) -> list[SolveResult]:
+    """Best-of-multistart projected gradient descent on E or V, one
+    result per row of ``rows``: a single solve is one row, and an epsilon
+    sweep is one row per epsilon, largest first.
 
-    The battery holds the homogeneous state, mollified sharp candidates
-    for crack counts around the predicted one, and seeded random
-    perturbations.  ``warm``, the values of an earlier solve on the same
-    grid (a sweep's previous row), joins it last as the start labelled
-    "continuation".  The starts descend on every CPU the process may run
-    on, and the best wins, the earlier start on a tie, so the result is
-    the same on any CPU count.  Results never raise on non-convergence;
-    check the ``converged`` flag.  An epsilon so large
+    Each row's battery holds the homogeneous state, mollified sharp
+    candidates for crack counts around the predicted one, and seeded
+    random perturbations.  Each row after the first adds, last, the start
+    labelled "continuation": the minimizer of the row before it, so every
+    row must solve on the grid of the first.  ``warm``, the values of an
+    earlier solve on that grid, is the first row's continuation.
+    The starts of every row descend on every CPU the process may run on,
+    and the best of a row wins, the earlier start on a tie, so the results
+    are the same on any CPU count.  Results never raise on
+    non-convergence; check the ``converged`` flag.  An epsilon so large
     that a start's energy or gradient overflows, or so small that the
-    rescaled energy does, raises ValueError.
+    rescaled energy does, raises ValueError, as a loop over the rows
+    would, and the rows after it are not solved.
     """
     kind = _FUNCTIONALS.get(functional.upper())
     if kind is None:
         raise ValueError("functional must be 'E' or 'V'")
-    starts = _start_battery(kind, model, settings)
+    batteries = [_start_battery(kind, model, settings) for settings in rows]
+    if not batteries:
+        return []
+    shape = batteries[0][0][1].shape  # the homogeneous state's
+    if any(battery[0][1].shape != shape for battery in batteries):
+        raise ValueError("every row must solve on the grid of the first")
     if warm is not None:
-        if np.shape(warm) != starts[0][1].shape:  # the homogeneous state's
-            raise ValueError(f"a warm start needs {starts[0][1].size} values")
-        starts.append(("continuation", np.asarray(warm, float)))
+        if np.shape(warm) != shape:
+            raise ValueError(f"a warm start needs {shape[0]} values")
+        batteries[0].append(("continuation", np.asarray(warm, float)))
 
-    best = None
-    for (label, _), descent in zip(starts, _descend_all(starts, kind, settings, model)):
-        if best is None or descent[1] < best[1]:
-            best = (*descent, label)
-
-    x, fx, iterations, converged, history, label = best
-    with np.errstate(over="ignore"):
-        rescaled = fx / settings.epsilon
-    if not np.isfinite(rescaled):
-        raise ValueError(
-            f"epsilon {settings.epsilon!r} makes the rescaled energy "
-            f"{float(fx)!r} / epsilon overflow"
+    results = []
+    for settings, winner in zip(rows, _descend_all(batteries, kind, rows, model)):
+        if isinstance(winner, ValueError):
+            raise winner
+        x, fx, iterations, converged, history, label = winner
+        with np.errstate(over="ignore"):
+            rescaled = fx / settings.epsilon
+        if not np.isfinite(rescaled):
+            raise ValueError(
+                f"epsilon {settings.epsilon!r} makes the rescaled energy "
+                f"{float(fx)!r} / epsilon overflow"
+            )
+        out = kind.field(settings.lam, x)
+        results.append(
+            SolveResult(
+                minimizer=out,
+                energy=fx,
+                rescaled_energy=rescaled,
+                iterations=iterations,
+                transition_count=kind.transitions(out),
+                converged=converged,
+                start_label=label,
+                energy_history=history,
+            )
         )
-    out = kind.field(settings.lam, x)
-    return SolveResult(
-        minimizer=out,
-        energy=fx,
-        rescaled_energy=rescaled,
-        iterations=iterations,
-        transition_count=kind.transitions(out),
-        converged=converged,
-        start_label=label,
-        energy_history=history,
-    )
+    return results

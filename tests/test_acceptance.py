@@ -85,10 +85,10 @@ def test_criterion_04_equal_spacing(n):
 def test_criterion_05_compression_homogeneous():
     start = time.perf_counter()
     st = SolveSettings(lam=0.8, epsilon=0.05, mu=200.0, grid_n=1000)
-    res_e = minimize("E", LJ, st)
+    res_e = minimize("E", LJ, [st])[0]
     assert np.max(np.abs(res_e.minimizer.values - 1.25)) <= 1e-4
     assert abs(res_e.energy - 0.0625) <= 1e-6
-    res_v = minimize("V", LJ, st)
+    res_v = minimize("V", LJ, [st])[0]
     ramp = np.linspace(0.0, 1.0, 1001)
     assert np.max(np.abs(res_v.minimizer.values - ramp)) <= 1e-4
     assert abs(res_v.energy - 0.0625) <= 1e-6

@@ -294,7 +294,9 @@ def test_cli_solve_defaults_are_the_library_defaults(tmp_path, monkeypatch, argv
     seen = []
 
     def capture(*args):
-        seen.append(next(a for a in args if isinstance(a, SolveSettings)))
+        # A sweep takes one SolveSettings, minimize a list of rows.
+        flat = [a for arg in args for a in (arg if isinstance(arg, list) else [arg])]
+        seen.append(next(a for a in flat if isinstance(a, SolveSettings)))
         raise ValueError("captured")
 
     monkeypatch.setattr(*target, capture)
@@ -574,6 +576,12 @@ _FIELD = Path(__file__).parent / "golden" / "sharp-reconstruct" / "sharp_lambda1
         pytest.param(f"{_SWEEP} --epsilons 0.05,0.1", "epsilons", id="sweep-epsilons-increasing"),
         pytest.param(f"{_SWEEP} --epsilons 1e200", "epsilon", id="sweep-epsilon-squared-overflows"),
         pytest.param(f"{_SWEEP} --multistart -3", "multistart", id="sweep-multistart"),
+        # Without a bound, building the random starts would never end.
+        pytest.param(
+            f"{_SWEEP} --multistart 1000000000000000", "multistart", id="sweep-multistart-huge"
+        ),
+        pytest.param(f"{_MINIMIZE} --grid 1000000000000000", "allocate", id="minimize-grid-huge"),
+        pytest.param(f"{_SWEEP} --grid 1000000000000000", "allocate", id="sweep-grid-huge"),
         pytest.param(f"{_SWEEP} --seed -1", "seed", id="sweep-seed-negative"),
         pytest.param("sweep --lambda 1", "missing required settings", id="sweep-missing"),
         pytest.param("reconstruct", "missing required settings", id="reconstruct-missing"),

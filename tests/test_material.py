@@ -31,6 +31,22 @@ def test_lj_wells():
     assert lj.wstar(0.5) == pytest.approx(0.125, abs=0.0)
 
 
+def test_lj_densities_are_bitwise_their_closed_forms():
+    """The densities build their result in place, with the closed forms'
+    bits; the input is left as it was, and a scalar gives a float."""
+    lj = builtin_lj()
+    h = np.random.default_rng(7).uniform(-1.0, 3.0, 10001)
+    before = h.copy()
+    assert np.array_equal(lj.wstar(h), h * (1.0 - h) ** 2)
+    assert np.array_equal(lj.wstar_prime(h), (1.0 - h) * (1.0 - 3.0 * h))
+    assert np.array_equal(h, before)
+    for value in (0.3, np.float64(0.3), np.array(0.3)):
+        assert type(lj.wstar(value)) is float and type(lj.wstar_prime(value)) is float
+    x = 0.3
+    assert lj.wstar(x) == x * (1.0 - x) ** 2
+    assert lj.wstar_prime(x) == (1.0 - x) * (1.0 - 3.0 * x)
+
+
 def test_lj_two_well_positivity():
     lj = builtin_lj()
     grid = np.linspace(0.01, 0.99, 500)

@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import math
 import multiprocessing
@@ -12,6 +11,7 @@ import numpy as np
 import pytest
 
 from fracture1d import regularized
+from fracture1d.harness import gamma_sweep_I, gamma_sweep_V
 from fracture1d.material import builtin_lj, c_wstar
 from fracture1d.regularized import (
     CellField,
@@ -778,11 +778,11 @@ def test_per_grid_constants_are_read_only_and_unchanged_by_minimize(monkeypatch)
     with monkeypatch.context() as m:
         _on_cpus(m, 1)
         for functional, settings in runs:
-            minimize(functional, LJ, settings)
+            minimize(functional, LJ, [settings])
     assert _midpoints.cache_info().hits > hits + 1000
     _on_cpus(monkeypatch, 3)
     for functional, settings in runs:
-        minimize(functional, LJ, settings)
+        minimize(functional, LJ, [settings])
     for (lam, n), grid, midpoints in zip(keys, grids, copies):
         assert _midpoints(lam, n) is grid
         assert not grid.flags.writeable
@@ -828,7 +828,7 @@ def test_E_fields_are_cell_fields_of_unit_mass():
     starts = [
         project_H(x0, lam) for _, x0 in _start_battery(_FUNCTIONALS["E"], LJ, settings)
     ]
-    result = minimize("E", LJ, settings)
+    result = minimize("E", LJ, [settings])[0]
     for field in projected + mollified + starts + [result.minimizer]:
         assert type(field) is CellField
         assert field.values.size == field.n_cells == n
@@ -854,7 +854,7 @@ def test_transition_counting():
 
 def test_minimize_compression_E():
     settings = SolveSettings(lam=0.8, epsilon=0.05, grid_n=1000)
-    result = minimize("E", LJ, settings)
+    result = minimize("E", LJ, [settings])[0]
     assert np.max(np.abs(result.minimizer.values - 1.25)) <= 1e-4
     assert result.energy == pytest.approx(0.0625, abs=1e-6)
     assert result.converged
@@ -862,7 +862,7 @@ def test_minimize_compression_E():
 
 def test_minimize_compression_V():
     settings = SolveSettings(lam=0.8, epsilon=0.05, mu=200.0, grid_n=1000)
-    result = minimize("V", LJ, settings)
+    result = minimize("V", LJ, [settings])[0]
     ramp = np.linspace(0.0, 1.0, 1001)
     assert np.max(np.abs(result.minimizer.values - ramp)) <= 1e-4
     assert result.energy == pytest.approx(0.0625, abs=1e-6)
@@ -872,17 +872,17 @@ def test_minimize_compression_V():
 def test_minimize_compression_homogeneous_both_functionals(lam):
     expected = lam * LJ.wstar(1.0 / lam)
     st = SolveSettings(lam=lam, epsilon=0.05, mu=150.0, grid_n=400)
-    res_e = minimize("E", LJ, st)
+    res_e = minimize("E", LJ, [st])[0]
     assert np.max(np.abs(res_e.minimizer.values - 1.0 / lam)) <= 1e-4
     assert res_e.energy == pytest.approx(expected, abs=1e-6)
-    res_v = minimize("V", LJ, st)
+    res_v = minimize("V", LJ, [st])[0]
     assert np.max(np.abs(res_v.minimizer.values - np.linspace(0, 1, 401))) <= 1e-4
     assert res_v.energy == pytest.approx(expected, abs=1e-6)
 
 
 def test_minimize_identity_V():
     settings = SolveSettings(lam=1.0, epsilon=0.05, mu=300.0, grid_n=500)
-    result = minimize("V", LJ, settings)
+    result = minimize("V", LJ, [settings])[0]
     ramp = np.linspace(0.0, 1.0, 501)
     assert np.max(np.abs(result.minimizer.values - ramp)) <= 1e-6
     assert result.energy <= 1e-8
@@ -890,14 +890,14 @@ def test_minimize_identity_V():
 
 def test_minimize_interface_E():
     settings = SolveSettings(lam=1.4, epsilon=0.02, grid_n=4000)
-    result = minimize("E", LJ, settings)
+    result = minimize("E", LJ, [settings])[0]
     assert result.transition_count == 1
     assert result.rescaled_energy == pytest.approx(C_LJ, rel=0.10)
 
 
 def test_minimize_energy_history_never_increases():
     settings = SolveSettings(lam=1.4, epsilon=0.05, grid_n=600, multistart=2)
-    result = minimize("E", LJ, settings)
+    result = minimize("E", LJ, [settings])[0]
     hist = np.asarray(result.energy_history)
     assert np.all(np.diff(hist) <= 0.0)
 
@@ -906,8 +906,9 @@ def test_minimize_runs_a_warm_start_as_continuation():
     settings = SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=200, max_iterations=40)
     # A longer solve from the same battery ends lower than every start of
     # a 40-iteration one, so its minimizer wins as the warm start.
-    warm = minimize("V", LJ, dataclasses.replace(settings, max_iterations=400)).minimizer.values
-    result = minimize("V", LJ, settings, warm)
+    longer = dataclasses.replace(settings, max_iterations=400)
+    warm = minimize("V", LJ, [longer])[0].minimizer.values
+    result = minimize("V", LJ, [settings], warm)[0]
     kind = _FUNCTIONALS["V"]
     x, fx, iterations, converged, history = _descend(warm, kind, settings, LJ)
     assert result.start_label == "continuation"
@@ -920,26 +921,29 @@ def test_minimize_rejects_a_warm_start_on_another_grid():
     """A converged 16-cell solve would otherwise win a 3-iteration solve on
     400 cells and come back as its 17-node minimizer."""
     coarse = SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=16)
-    warm = minimize("V", LJ, coarse).minimizer.values
+    warm = minimize("V", LJ, [coarse])[0].minimizer.values
     fine = dataclasses.replace(coarse, grid_n=400, max_iterations=3)
     with pytest.raises(ValueError, match="401 values"):
-        minimize("V", LJ, fine, warm)
+        minimize("V", LJ, [fine], warm)
     # E's values sit on the 400 cells.
     with pytest.raises(ValueError, match="400 values"):
-        minimize("E", LJ, fine, np.full(401, 1.0 / 1.5))
+        minimize("E", LJ, [fine], np.full(401, 1.0 / 1.5))
+    # Each row's continuation is the row before it's minimizer.
+    with pytest.raises(ValueError, match="grid of the first"):
+        minimize("V", LJ, [coarse, fine])
 
 
 def test_minimize_is_deterministic_for_a_seed():
     settings = SolveSettings(lam=1.2, epsilon=0.05, grid_n=128, multistart=1, seed=42)
-    a = minimize("E", LJ, settings)
-    b = minimize("E", LJ, settings)
+    a = minimize("E", LJ, [settings])[0]
+    b = minimize("E", LJ, [settings])[0]
     assert a.start_label == b.start_label
     assert np.array_equal(a.minimizer.values, b.minimizer.values)
 
 
 def test_minimize_rejects_unknown_functional():
     with pytest.raises(ValueError):
-        minimize("Q", LJ, SolveSettings(lam=1.0, epsilon=0.1, grid_n=32))
+        minimize("Q", LJ, [SolveSettings(lam=1.0, epsilon=0.1, grid_n=32)])
 
 
 # ------------------------------------------------------------ descent
@@ -1120,6 +1124,134 @@ def test_every_point_the_descent_evaluates_is_feasible(functional, settings):
     assert seen["points"] > seen["projections"]
 
 
+def test_a_worker_whose_descent_fails_raises_and_leaves_no_worker(monkeypatch, forks):
+    """An exception other than an overflow ends the worker it rose in
+    before it sends its descents: once the caller runs out of starts, the
+    call raises RuntimeError rather than wait for that worker's start,
+    and no worker is left."""
+    caller = os.getpid()
+    descend = regularized._descend
+
+    def failing_in_workers(*args):
+        if os.getpid() != caller:
+            raise TypeError("a fault in a worker")
+        return descend(*args)
+
+    monkeypatch.setattr(regularized, "_descend", failing_in_workers)
+    _on_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="worker died"):
+        minimize("V", LJ, [_BATTERIES[1][1]])
+    assert len(forks) == 1 and forks[0].exitcode == 1
+    assert multiprocessing.active_children() == []
+
+
+# (functional, settings, epsilons): rows whose starts share the workers.
+# At these, a continuation wins row 1 of V and a row of E.
+_ROWS = [
+    (
+        "E",
+        SolveSettings(lam=1.4, epsilon=1.0, grid_n=300, max_iterations=60),
+        (0.08, 0.04, 0.02, 0.01),
+    ),
+    (
+        "V",
+        SolveSettings(lam=1.5, epsilon=1.0, mu=200.0, grid_n=200, max_iterations=60),
+        (0.04, 0.03, 0.02),
+    ),
+]
+
+
+@pytest.mark.parametrize("functional, settings, epsilons", _ROWS, ids=["E", "V"])
+def test_bitwise_rows_on_every_cpu_are_the_one_cpu_rows(
+    monkeypatch, forks, functional, settings, epsilons
+):
+    """One call solves every row: the starts of all rows share the
+    workers, and each row's continuation waits for the row before it.
+    Every field of every row is the one-CPU run's, and the one-CPU run's
+    rows are a loop of one-row solves, each warm-started by the last."""
+    rows = [dataclasses.replace(settings, epsilon=eps) for eps in epsilons]
+    _on_cpus(monkeypatch, 1)
+    loop, warm = [], None
+    for row in rows:
+        loop.append(minimize(functional, LJ, [row], warm)[0])
+        warm = loop[-1].minimizer.values
+    serial = minimize(functional, LJ, rows)
+    assert forks == []
+    _on_cpus(monkeypatch, 3)
+    shared = minimize(functional, LJ, rows)
+    _assert_workers_ended(forks, 2)
+    assert len(serial) == len(shared) == len(loop) == len(rows)
+    for mine, one_cpu, looped in zip(shared, serial, loop):
+        _assert_results_bitwise(mine, one_cpu)
+        _assert_results_bitwise(mine, looped)
+    # A continuation won at least one row, so a hand-off was exercised.
+    assert "continuation" in [result.start_label for result in shared[1:]]
+
+
+def test_bitwise_many_short_rows_on_more_workers_than_cores_are_the_one_cpu_rows(
+    monkeypatch, forks
+):
+    """Stress the shared queue: twelve rows of short descents on eight
+    processes, more than the machine has cores, so the lock is contended
+    and rows finish out of order.  A lost update of a row's count, best
+    energy or best start would change a winner or drop a continuation."""
+    settings = SolveSettings(lam=1.4, epsilon=1.0, grid_n=32, max_iterations=15, multistart=4)
+    rows = [dataclasses.replace(settings, epsilon=0.2 * 0.8**k) for k in range(12)]
+    _on_cpus(monkeypatch, 1)
+    serial = minimize("E", LJ, rows)
+    _on_cpus(monkeypatch, 8)
+    for _ in range(3):
+        shared = minimize("E", LJ, rows)
+        for mine, one_cpu in zip(shared, serial, strict=True):
+            _assert_results_bitwise(mine, one_cpu)
+    _assert_workers_ended(forks, 21)
+    assert "continuation" in [result.start_label for result in serial]
+
+
+@pytest.mark.parametrize("functional, settings, epsilons", _ROWS, ids=["I", "V"])
+def test_bitwise_sweeps_on_every_cpu_are_the_one_cpu_sweeps(
+    monkeypatch, forks, functional, settings, epsilons
+):
+    """A sweep hands all its rows to one minimize call, which forks its
+    workers once; every field of every row is the one-CPU sweep's."""
+    sweep = gamma_sweep_I if functional == "E" else gamma_sweep_V
+    _on_cpus(monkeypatch, 1)
+    serial = sweep(LJ, epsilons, settings)
+    assert forks == []
+    _on_cpus(monkeypatch, 3)
+    shared = sweep(LJ, epsilons, settings)
+    _assert_workers_ended(forks, 2)
+    assert len(shared.rows) == len(epsilons)
+    assert repr(shared.rows) == repr(serial.rows)
+    assert shared.rows == serial.rows
+    assert shared.metadata == serial.metadata
+
+
+@pytest.mark.parametrize(
+    "epsilons, message",
+    [
+        ((0.08, 0.04, 1e-320), "rescaled energy .* overflow"),
+        ((1e153, 0.05, 0.04), "gradient .* overflow"),
+    ],
+    ids=["last-rescaled", "first-start"],
+)
+def test_bitwise_sweep_errors_on_every_cpu_are_the_serial_loops(
+    monkeypatch, forks, epsilons, message
+):
+    """A row whose rescaled energy overflows, or whose starts' energy
+    does, raises the serial loop's ValueError from a sweep on every CPU,
+    and no worker is left behind."""
+    settings = SolveSettings(lam=1.4, epsilon=1.0, grid_n=32, max_iterations=5)
+    _on_cpus(monkeypatch, 1)
+    with pytest.raises(ValueError, match=message) as serial:
+        gamma_sweep_I(LJ, epsilons, settings)
+    _on_cpus(monkeypatch, 3)
+    with pytest.raises(ValueError, match=message) as shared:
+        gamma_sweep_I(LJ, epsilons, settings)
+    _assert_workers_ended(forks, 2)
+    assert str(shared.value) == str(serial.value)
+
+
 @pytest.mark.parametrize(
     "functional, settings",
     [
@@ -1176,7 +1308,7 @@ def test_minimize_is_bitwise_the_best_descent_of_the_battery():
     every evaluation.  Equal bits over the whole battery show that no
     gradient reused the geometry of a rejected trial."""
     settings = SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=200, max_iterations=60)
-    result = minimize("V", LJ, settings)
+    result = minimize("V", LJ, [settings])[0]
     runs = list(_run_battery("V", settings, descend=_descend_oracle))
     label, (x, fx, iterations, converged, history) = min(runs, key=lambda run: run[1][1])
     assert result.start_label == label
@@ -1194,17 +1326,24 @@ def _on_cpus(monkeypatch, n):
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The worker counts of the process pools minimize creates."""
+def forks(monkeypatch):
+    """The worker processes minimize forks."""
     made = []
+    start = multiprocessing.context.ForkProcess.start
 
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            made.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def counted(self):
+        made.append(self)
+        start(self)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counted)
     return made
+
+
+def _assert_workers_ended(forks, count):
+    """``count`` workers were forked, each ended of itself, and none is left."""
+    assert len(forks) == count
+    assert all(proc.exitcode == 0 for proc in forks)
+    assert multiprocessing.active_children() == []
 
 
 def _assert_results_bitwise(mine, reference):
@@ -1224,7 +1363,7 @@ _BATTERIES = [
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("functional, settings", _BATTERIES, ids=["E", "V"])
 def test_minimize_on_every_cpu_is_bitwise_the_one_cpu_run(
-    monkeypatch, pools, functional, settings, warm
+    monkeypatch, forks, functional, settings, warm
 ):
     """Workers descend some starts and the caller the rest; every field of
     the result, history and start label included, is the one-CPU run's."""
@@ -1232,64 +1371,61 @@ def test_minimize_on_every_cpu_is_bitwise_the_one_cpu_run(
     if warm:
         longer = dataclasses.replace(settings, max_iterations=2 * settings.max_iterations)
         _on_cpus(monkeypatch, 1)
-        x0 = minimize(functional, LJ, longer).minimizer.values
+        x0 = minimize(functional, LJ, [longer])[0].minimizer.values
     _on_cpus(monkeypatch, 1)
-    serial = minimize(functional, LJ, settings, x0)
-    assert pools == []
+    serial = minimize(functional, LJ, [settings], x0)[0]
+    assert forks == []
     _on_cpus(monkeypatch, 3)
-    shared = minimize(functional, LJ, settings, x0)
-    assert pools == [2]
-    assert multiprocessing.active_children() == []
+    shared = minimize(functional, LJ, [settings], x0)[0]
+    _assert_workers_ended(forks, 2)
     _assert_results_bitwise(shared, serial)
     if warm:
         assert shared.start_label == "continuation"
 
 
-def test_bitwise_tie_goes_to_the_earlier_start_on_every_cpu(monkeypatch, pools):
+def test_bitwise_tie_goes_to_the_earlier_start_on_every_cpu(monkeypatch, forks):
     """A warm start equal to the homogeneous one descends to the same
     bits.  However the worker and the caller share the two starts, the
     earlier one wins."""
     settings = SolveSettings(lam=0.9, epsilon=0.05, mu=200.0, grid_n=128, multistart=0)
     (label, x0), = _start_battery(_FUNCTIONALS["V"], LJ, settings)
     _on_cpus(monkeypatch, 2)
-    result = minimize("V", LJ, settings, x0.copy())
-    assert pools == [1]
-    assert multiprocessing.active_children() == []
+    result = minimize("V", LJ, [settings], x0.copy())[0]
+    _assert_workers_ended(forks, 1)
     assert (label, result.start_label) == ("homogeneous", "homogeneous")
 
 
-def test_bitwise_overflow_error_on_every_cpu_is_the_serial_loops(monkeypatch, pools):
+def test_bitwise_overflow_error_on_every_cpu_is_the_serial_loops(monkeypatch, forks):
     """An epsilon whose energy overflows on the grid raises the serial
     loop's ValueError, and no worker is left behind."""
     settings = SolveSettings(lam=1.5, epsilon=1e153, grid_n=32, max_iterations=5)
     _on_cpus(monkeypatch, 1)
     with pytest.raises(ValueError, match="overflow") as serial:
-        minimize("E", LJ, settings)
+        minimize("E", LJ, [settings])
     _on_cpus(monkeypatch, 3)
     with pytest.raises(ValueError, match="overflow") as shared:
-        minimize("E", LJ, settings)
-    assert pools == [2]
-    assert multiprocessing.active_children() == []
+        minimize("E", LJ, [settings])
+    _assert_workers_ended(forks, 2)
     assert str(shared.value) == str(serial.value)
 
 
-def test_bitwise_no_worker_forks_beside_a_running_thread(monkeypatch, pools):
+def test_bitwise_no_worker_forks_beside_a_running_thread(monkeypatch, forks):
     """Forking a process that runs another thread is unsafe: then the
     caller descends every start itself."""
     settings = _BATTERIES[1][1]
     _on_cpus(monkeypatch, 1)
-    serial = minimize("V", LJ, settings)
+    serial = minimize("V", LJ, [settings])[0]
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(60.0,))
     thread.start()
     try:
         _on_cpus(monkeypatch, 3)
-        shared = minimize("V", LJ, settings)
+        shared = minimize("V", LJ, [settings])[0]
     finally:
         release.set()
         thread.join(timeout=60.0)
     assert not thread.is_alive()
-    assert pools == []
+    assert forks == []
     assert multiprocessing.active_children() == []
     _assert_results_bitwise(shared, serial)
 
@@ -1341,7 +1477,7 @@ def test_a_step_that_rounds_away_does_not_fake_convergence():
 
 def test_modica_mortola_bound_on_iterates():
     settings = SolveSettings(lam=1.4, epsilon=0.02, grid_n=2000)
-    result = minimize("E", LJ, settings)
+    result = minimize("E", LJ, [settings])[0]
     bound = mm_lower_bound_H(result.minimizer, LJ)
     assert result.rescaled_energy >= bound * 0.98
     # And on a hand-built mollified field.
@@ -1365,8 +1501,10 @@ def test_settings_validation():
         SolveSettings(lam=1.0, epsilon=0.1, grid_n=8)
     with pytest.raises(ValueError):
         SolveSettings(lam=1.0, epsilon=0.1, mu=-5.0)
-    with pytest.raises(ValueError, match="multistart"):
-        SolveSettings(lam=1.0, epsilon=0.1, multistart=-3)
+    for bad in (-3, 1001, 10**15):
+        with pytest.raises(ValueError, match="multistart"):
+            SolveSettings(lam=1.0, epsilon=0.1, multistart=bad)
+    assert SolveSettings(lam=1.0, epsilon=0.1, multistart=1000).multistart == 1000
     with pytest.raises(ValueError, match="seed"):
         SolveSettings(lam=1.0, epsilon=0.1, seed=-1)
     # epsilon**2 would overflow: 1.35e154 is just above sqrt(float max).
