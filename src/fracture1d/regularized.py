@@ -16,9 +16,9 @@ functional is one record of kernels (geometry, energy, gradient,
 projection) that the descent calls itself: the gradient at an accepted
 point reads the geometry that the point's energy evaluation built.  A
 solve has one or more rows, each row after the first continued from the
-minimizer of the one before it; the starts of all rows descend from one
-queue on every CPU of the process's affinity mask, with the same result
-on any count.
+minimizer of the one before it; the caller hands the starts of all rows
+from one queue to a worker on every CPU of the process's affinity mask,
+with the same result on any count.
 
 The foundation-coupled energy is the unrescaled one with interaction
 stiffness k = epsilon * mu; dividing by epsilon gives the quantity that
@@ -309,8 +309,9 @@ def project_H(values: Sequence[float], lam: float) -> CellField:
     terms sum to 1/d > 0; the loop ends within N passes at a point that
     meets the optimality conditions, with d * sum(H) = 1 to machine
     accuracy.  A domain length or a value count that ``DiscreteField``
-    rejects raises its ValueError first.  The result is a new array,
-    never a view of ``values``.
+    rejects raises its ValueError first, and so does a NaN or +inf value;
+    a -inf value projects to 0.  The result is a new array, never a view
+    of ``values``.
     """
     raw = np.asarray(values, dtype=float)
     _check_grid(lam, raw)
@@ -323,6 +324,10 @@ def project_H(values: Sequence[float], lam: float) -> CellField:
             h = raw - tau
             return CellField._adopt(lam, np.maximum(0.0, h, out=h))
         if not keep.any():
+            # A NaN or +inf makes the first tau NaN or +inf, so no cell
+            # stays.  (A -inf cell drops out of an earlier pass, to 0.)
+            if not np.isfinite(r).all():
+                raise ValueError("field values must be finite")
             # Rounding drops every cell once a spike exceeds about 2^53 / d.
             # The last active set, the cells at or above its least value,
             # agrees to rounding, so its cells share the mass 1/d equally.
@@ -672,143 +677,126 @@ def _descend_all(
 
     Row r > 0 has one start more than its battery, "continuation", row
     r - 1's winner, which can descend only once that row is done.  The
-    starts of all rows form one queue, and each process takes its next
-    start from it when it is free: a ready continuation first, else the
-    next battery start in row order.  The processes are the caller and
-    one forked worker per further CPU of the affinity mask, at most one
-    fewer than there are starts.  Forking a process that runs other
-    threads is unsafe, so then, with one CPU, or without fork, the caller
-    descends every start itself.
+    caller keeps the starts of all rows in one queue and hands out the
+    next one whenever a descent is free to run: a ready continuation
+    first, else the next battery start in row order.  A row's winner is
+    its least energy, the earlier start in battery order on a tie, so the
+    results are the same bits however the starts were shared out.  A
+    start's ValueError (an epsilon that overflows it) keeps the rows
+    after its own from starting.
 
-    The queue, and each row's count of starts to go and its best energy,
-    start and values so far, live in memory the processes share, under
-    one lock.  The process that finishes a row's last start is free, and
-    takes the next row's continuation itself, so a process that finds the
-    queue empty has nothing left to wait for and stops.  A row's winner is
-    its least energy, the earlier start in battery order on a tie, as in
-    the serial loop, whichever process finished first, so the results are
-    the one-CPU run's bit for bit.  Each process keeps the descents that
-    are still some row's best and the ValueErrors of starts that
-    overflowed, and a worker sends them to the caller when it stops;
-    floats pickle exactly.  Such an error keeps the rows after its own
-    from starting.  Any other exception propagates: the caller's at once,
-    and a worker's, which ends that worker before it sends its descents,
-    as a RuntimeError.  The batteries reach the workers through fork,
-    unpickled, since the functional's kernels and a model's densities may
-    be closures.  No worker outlives the call.
+    When two or more starts can run at once, the caller forks one worker
+    per CPU of the affinity mask, at most one per start, and only
+    schedules.  A worker descends each task it receives, ``(row, start,
+    continuation values or None)``, sends back the descent or the
+    ValueError, and stops on None; floats pickle exactly.  The batteries
+    reach the workers through fork, unpickled, since the functional's
+    kernels and a model's densities may be closures.  Any other exception
+    ends its worker, and the call raises RuntimeError as soon as it reads
+    that worker's closed pipe.  Forking a process that runs other threads
+    is unsafe, so then, with one CPU, or without fork, the caller descends
+    every start itself.  No worker outlives the call.
     """
     order = [(r, i) for r, battery in enumerate(batteries) for i in range(len(battery))]
-    n_rows, size = len(rows), batteries[0][0][1].size
+    n_rows = len(rows)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(order) + n_rows - 1) - 1
+    workers = min(cpus, len(order) + n_rows - 1)
     fork = None
-    if workers > 0 and threading.active_count() == 1:
+    if workers > 1 and threading.active_count() == 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
             fork = multiprocessing.get_context("fork")
 
-    # The next battery start, the row whose continuation is ready (-1 for
-    # none) and the first row not to start; then each row's starts to go,
-    # best energy and best start; then each row's best values.
-    words = 3 + n_rows * (3 + size)
-    if fork is None:
-        block = np.empty(words)
-    else:
-        import mmap
-
-        block = np.frombuffer(mmap.mmap(-1, 8 * words), dtype=float)
-    queue = block[:3]
-    left, best_f, best_i = block[3 : 3 + 3 * n_rows].reshape(3, n_rows)
-    best_x = block[3 + 3 * n_rows :].reshape(n_rows, size)
-    queue[:] = (0, -1, n_rows)
-    left[:] = [len(battery) + (r > 0) for r, battery in enumerate(batteries)]
-    best_f[:], best_i[:] = np.inf, -1
+    left = [len(battery) + (r > 0) for r, battery in enumerate(batteries)]
+    best = [None] * n_rows  # each row's (energy, start, descent) so far
+    errors = {}  # row -> (start, ValueError), its earliest start that raised
+    queue = iter(order)
+    ready = None  # the row whose continuation can start
+    stop = n_rows  # the first row not to start
 
     def take():
-        ready = int(queue[1])
-        if ready >= 0:
-            queue[1] = -1
-            return ready, len(batteries[ready])
-        k = int(queue[0])
-        if k < len(order) and order[k][0] < queue[2]:
-            queue[0] = k + 1
-            return order[k]
-        return None
+        nonlocal ready
+        if ready is not None:
+            r, ready = ready, None
+            return r, len(batteries[r]), best[r - 1][2][0]
+        r, i = next(queue, (n_rows, 0))
+        return (r, i, None) if r < stop else None
 
     def finish(r, i, outcome):
+        nonlocal ready, stop
         left[r] -= 1
         if isinstance(outcome, ValueError):
-            queue[2] = min(queue[2], r + 1)
-        elif (outcome[1], i) < (best_f[r], best_i[r]):
-            best_f[r], best_i[r] = outcome[1], i
-            best_x[r] = outcome[0]
-        if left[r] == 0 and r + 1 < queue[2]:
-            queue[1] = r + 1
+            stop = min(stop, r + 1)
+            if r not in errors or i < errors[r][0]:
+                errors[r] = i, outcome
+        elif best[r] is None or (outcome[1], i) < best[r][:2]:
+            best[r] = outcome[1], i, outcome
+        if left[r] == 0 and r + 1 < stop:
+            ready = r + 1
 
-    def work(lock) -> dict:
-        kept, done = {}, None
-        while True:
-            with lock:
-                if done is not None:
-                    finish(*done)
-                    kept = {
-                        (r, i): outcome
-                        for (r, i), outcome in kept.items()
-                        if isinstance(outcome, ValueError) or best_i[r] == i
-                    }
-                task = take()
-            if task is None:
-                return kept
-            r, i = task
-            x0 = batteries[r][i][1] if i < len(batteries[r]) else best_x[r - 1].copy()
-            try:
-                kept[task] = _descend(x0, kind, rows[r], model)
-            except ValueError as exc:  # an epsilon that overflows the start
-                kept[task] = exc
-            done = (r, i, kept[task])
+    def descend(r, i, x0):
+        try:
+            return _descend(batteries[r][i][1] if x0 is None else x0, kind, rows[r], model)
+        except ValueError as exc:  # an epsilon that overflows the start
+            return exc
 
     if fork is None:
-        kept = work(threading.Lock())
+        while (task := take()) is not None:
+            finish(*task[:2], descend(*task))
     else:
-        lock = fork.Lock()
-        procs = []
+        from multiprocessing.connection import wait
+
+        def serve(conn):
+            for task in iter(conn.recv, None):
+                conn.send(descend(*task))
+
+        procs, busy = {}, {}
         try:
             for _ in range(workers):
-                reader, writer = fork.Pipe(duplex=False)
-                proc = fork.Process(target=lambda w=writer: w.send(work(lock)), daemon=True)
+                conn, theirs = fork.Pipe()
+                proc = fork.Process(target=serve, args=(theirs,), daemon=True)
                 proc.start()
-                writer.close()
-                procs.append((proc, reader))
-            kept = work(lock)
-            for proc, reader in procs:
-                try:
-                    kept.update(reader.recv())
-                except EOFError:
-                    proc.join()
-                    raise RuntimeError(
-                        f"a descent worker died with exit code {proc.exitcode}"
-                    ) from None
-                proc.join()
+                # Only the worker holds its end, so the pipe closes when it dies.
+                theirs.close()
+                procs[conn] = proc
+            idle = list(procs)
+            while True:
+                while idle and (task := take()) is not None:
+                    conn = idle.pop()
+                    busy[conn] = task[:2]
+                    conn.send(task)
+                if not busy:
+                    break
+                for conn in wait(list(busy)):
+                    try:
+                        outcome = conn.recv()
+                    except EOFError:
+                        procs[conn].join()
+                        raise RuntimeError(
+                            f"a descent worker died with exit code {procs[conn].exitcode}"
+                        ) from None
+                    finish(*busy.pop(conn), outcome)
+                    idle.append(conn)
         finally:
-            for proc, reader in procs:
-                if proc.exitcode is None:  # the call failed before this worker ended
+            # Workers forked later hold the caller's ends of earlier pipes,
+            # so an idle worker is told to stop rather than left to see EOF.
+            for conn, proc in procs.items():
+                if conn in busy:
                     proc.terminate()
-                    proc.join()
-                reader.close()
+                else:
+                    conn.send(None)
+            for conn, proc in procs.items():
+                proc.join()
+                conn.close()
 
     winners = []
     for r, battery in enumerate(batteries):
-        failed = [
-            kept[r, i]
-            for i in range(len(battery) + (r > 0))
-            if isinstance(kept.get((r, i)), ValueError)
-        ]
-        if failed:
-            winners.append(failed[0])
+        if r in errors:
+            winners.append(errors[r][1])
             break
-        i = int(best_i[r])
-        winners.append((*kept[r, i], battery[i][0] if i < len(battery) else "continuation"))
+        _, i, descent = best[r]
+        winners.append((*descent, battery[i][0] if i < len(battery) else "continuation"))
     return winners
 
 

@@ -1,9 +1,12 @@
 import dataclasses
+import hashlib
 import math
 import multiprocessing
 import os
 import re
+import signal
 import threading
+import time
 import warnings
 from typing import Sequence
 
@@ -679,6 +682,22 @@ def test_project_H_spike_input():
         assert np.array_equal(project_H(raw, 1.0).values, expected)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_project_H_rejects_a_nan_or_infinite_value(bad):
+    """A NaN or +inf would make every cell drop out of the active set;
+    the projection raises DiscreteField's error rather than return an
+    infeasible point."""
+    with pytest.raises(ValueError, match="field values must be finite"):
+        project_H([bad, 1.0, 2.0, 0.5], 1.0)
+
+
+def test_a_warm_start_of_nans_raises_from_E_as_from_V():
+    settings = SolveSettings(lam=1.4, epsilon=0.05, grid_n=64, max_iterations=5, multistart=0)
+    for functional, size in (("E", 64), ("V", 65)):
+        with pytest.raises(ValueError, match="field values must be finite"):
+            minimize(functional, LJ, [settings], np.full(size, math.nan))
+
+
 def test_project_H_rejects_nonpositive_domain():
     with pytest.raises(ValueError, match="domain length"):
         project_H(np.ones(5), 0.0)
@@ -764,8 +783,8 @@ def test_per_grid_constants_are_read_only_and_unchanged_by_minimize(monkeypatch)
     """The cell midpoints, where V samples its misfit and the mollifier
     its step fields, are built once per grid and shared by every call on
     it.  A write to them raises, and a full solve of E and of V leaves
-    them as built, whether the caller descends every start or shares them
-    with workers.  The cache hits are counted on one CPU, where every
+    them as built, whether the caller descends every start or hands them
+    to workers.  The cache hits are counted on one CPU, where every
     descent is the caller's."""
     runs = [
         ("E", SolveSettings(lam=1.4, epsilon=0.05, grid_n=300, max_iterations=60)),
@@ -1124,24 +1143,32 @@ def test_every_point_the_descent_evaluates_is_feasible(functional, settings):
     assert seen["points"] > seen["projections"]
 
 
-def test_a_worker_whose_descent_fails_raises_and_leaves_no_worker(monkeypatch, forks):
-    """An exception other than an overflow ends the worker it rose in
-    before it sends its descents: once the caller runs out of starts, the
-    call raises RuntimeError rather than wait for that worker's start,
-    and no worker is left."""
+def test_a_worker_whose_descent_fails_raises_and_leaves_no_worker(monkeypatch, forks, tmp_path):
+    """An exception other than an overflow ends the worker it rose in.
+    The call raises RuntimeError as soon as it reads that worker's closed
+    pipe, without waiting for the descent the other worker is busy with;
+    that worker is terminated, and no worker is left."""
     caller = os.getpid()
+    faulted = tmp_path / "faulted"
     descend = regularized._descend
 
     def failing_in_workers(*args):
         if os.getpid() != caller:
-            raise TypeError("a fault in a worker")
+            try:
+                os.close(os.open(faulted, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                time.sleep(60.0)  # the other worker is busy all the while
+            else:
+                raise TypeError("a fault in a worker")
         return descend(*args)
 
     monkeypatch.setattr(regularized, "_descend", failing_in_workers)
     _on_cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="worker died"):
+    began = time.perf_counter()
+    with pytest.raises(RuntimeError, match="worker died with exit code 1"):
         minimize("V", LJ, [_BATTERIES[1][1]])
-    assert len(forks) == 1 and forks[0].exitcode == 1
+    assert time.perf_counter() - began < 30.0
+    assert sorted(proc.exitcode for proc in forks) == [-signal.SIGTERM, 1]
     assert multiprocessing.active_children() == []
 
 
@@ -1159,6 +1186,42 @@ _ROWS = [
         (0.04, 0.03, 0.02),
     ),
 ]
+
+
+def test_bitwise_each_start_descends_exactly_once(monkeypatch, tmp_path):
+    """Every start of every row, its battery and its continuation, is
+    descended exactly once: in a worker when the starts are shared out,
+    since the caller only schedules them, and in the caller on one CPU."""
+    functional, settings, epsilons = _ROWS[0]
+    rows = [dataclasses.replace(settings, epsilon=eps) for eps in epsilons]
+    batteries = [_start_battery(_FUNCTIONALS[functional], LJ, row) for row in rows]
+    starts = sum(map(len, batteries)) + len(rows) - 1
+    log = tmp_path / "descents"
+    descend = regularized._descend
+
+    def recorded(x0, kind, settings, model):
+        digest = hashlib.sha256(np.asarray(x0, dtype=float).tobytes()).hexdigest()
+        # One short write per line to a file opened for appending, so the
+        # lines of concurrent workers do not mix.
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()} {settings.epsilon!r} {digest}\n")
+        return descend(x0, kind, settings, model)
+
+    def records(cpus):
+        log.write_text("", encoding="utf-8")
+        _on_cpus(monkeypatch, cpus)
+        minimize(functional, LJ, rows)
+        return [line.split(" ", 1) for line in log.read_text(encoding="utf-8").splitlines()]
+
+    monkeypatch.setattr(regularized, "_descend", recorded)
+    caller = str(os.getpid())
+    shared = records(3)
+    keys = [key for _, key in shared]
+    assert len(set(keys)) == len(keys) == starts
+    assert caller not in {pid for pid, _ in shared}
+    serial = records(1)
+    assert {pid for pid, _ in serial} == {caller}
+    assert sorted(key for _, key in serial) == sorted(keys)
 
 
 @pytest.mark.parametrize("functional, settings, epsilons", _ROWS, ids=["E", "V"])
@@ -1179,7 +1242,7 @@ def test_bitwise_rows_on_every_cpu_are_the_one_cpu_rows(
     assert forks == []
     _on_cpus(monkeypatch, 3)
     shared = minimize(functional, LJ, rows)
-    _assert_workers_ended(forks, 2)
+    _assert_workers_ended(forks, 3)
     assert len(serial) == len(shared) == len(loop) == len(rows)
     for mine, one_cpu, looped in zip(shared, serial, loop):
         _assert_results_bitwise(mine, one_cpu)
@@ -1191,10 +1254,10 @@ def test_bitwise_rows_on_every_cpu_are_the_one_cpu_rows(
 def test_bitwise_many_short_rows_on_more_workers_than_cores_are_the_one_cpu_rows(
     monkeypatch, forks
 ):
-    """Stress the shared queue: twelve rows of short descents on eight
-    processes, more than the machine has cores, so the lock is contended
-    and rows finish out of order.  A lost update of a row's count, best
-    energy or best start would change a winner or drop a continuation."""
+    """Stress the scheduler: twelve rows of short descents on eight
+    workers, more than the machine has cores, so rows finish out of
+    order.  A lost update of a row's count, best energy or best start
+    would change a winner or drop a continuation."""
     settings = SolveSettings(lam=1.4, epsilon=1.0, grid_n=32, max_iterations=15, multistart=4)
     rows = [dataclasses.replace(settings, epsilon=0.2 * 0.8**k) for k in range(12)]
     _on_cpus(monkeypatch, 1)
@@ -1204,7 +1267,7 @@ def test_bitwise_many_short_rows_on_more_workers_than_cores_are_the_one_cpu_rows
         shared = minimize("E", LJ, rows)
         for mine, one_cpu in zip(shared, serial, strict=True):
             _assert_results_bitwise(mine, one_cpu)
-    _assert_workers_ended(forks, 21)
+    _assert_workers_ended(forks, 24)
     assert "continuation" in [result.start_label for result in serial]
 
 
@@ -1220,7 +1283,7 @@ def test_bitwise_sweeps_on_every_cpu_are_the_one_cpu_sweeps(
     assert forks == []
     _on_cpus(monkeypatch, 3)
     shared = sweep(LJ, epsilons, settings)
-    _assert_workers_ended(forks, 2)
+    _assert_workers_ended(forks, 3)
     assert len(shared.rows) == len(epsilons)
     assert repr(shared.rows) == repr(serial.rows)
     assert shared.rows == serial.rows
@@ -1248,7 +1311,7 @@ def test_bitwise_sweep_errors_on_every_cpu_are_the_serial_loops(
     _on_cpus(monkeypatch, 3)
     with pytest.raises(ValueError, match=message) as shared:
         gamma_sweep_I(LJ, epsilons, settings)
-    _assert_workers_ended(forks, 2)
+    _assert_workers_ended(forks, 3)
     assert str(shared.value) == str(serial.value)
 
 
@@ -1365,8 +1428,9 @@ _BATTERIES = [
 def test_minimize_on_every_cpu_is_bitwise_the_one_cpu_run(
     monkeypatch, forks, functional, settings, warm
 ):
-    """Workers descend some starts and the caller the rest; every field of
-    the result, history and start label included, is the one-CPU run's."""
+    """Workers descend the starts and the caller schedules them; every
+    field of the result, history and start label included, is the one-CPU
+    run's."""
     x0 = None
     if warm:
         longer = dataclasses.replace(settings, max_iterations=2 * settings.max_iterations)
@@ -1377,7 +1441,7 @@ def test_minimize_on_every_cpu_is_bitwise_the_one_cpu_run(
     assert forks == []
     _on_cpus(monkeypatch, 3)
     shared = minimize(functional, LJ, [settings], x0)[0]
-    _assert_workers_ended(forks, 2)
+    _assert_workers_ended(forks, 3)
     _assert_results_bitwise(shared, serial)
     if warm:
         assert shared.start_label == "continuation"
@@ -1385,13 +1449,13 @@ def test_minimize_on_every_cpu_is_bitwise_the_one_cpu_run(
 
 def test_bitwise_tie_goes_to_the_earlier_start_on_every_cpu(monkeypatch, forks):
     """A warm start equal to the homogeneous one descends to the same
-    bits.  However the worker and the caller share the two starts, the
-    earlier one wins."""
+    bits.  Whichever of the two workers finishes first, the earlier start
+    wins."""
     settings = SolveSettings(lam=0.9, epsilon=0.05, mu=200.0, grid_n=128, multistart=0)
     (label, x0), = _start_battery(_FUNCTIONALS["V"], LJ, settings)
     _on_cpus(monkeypatch, 2)
     result = minimize("V", LJ, [settings], x0.copy())[0]
-    _assert_workers_ended(forks, 1)
+    _assert_workers_ended(forks, 2)
     assert (label, result.start_label) == ("homogeneous", "homogeneous")
 
 
@@ -1405,7 +1469,7 @@ def test_bitwise_overflow_error_on_every_cpu_is_the_serial_loops(monkeypatch, fo
     _on_cpus(monkeypatch, 3)
     with pytest.raises(ValueError, match="overflow") as shared:
         minimize("E", LJ, [settings])
-    _assert_workers_ended(forks, 2)
+    _assert_workers_ended(forks, 3)
     assert str(shared.value) == str(serial.value)
 
 
