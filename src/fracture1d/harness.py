@@ -27,6 +27,8 @@ from .regularized import (
     mm_lower_bound_slopes,
 )
 from .sharp import (
+    _CRACKS_MAX,
+    DomainError,
     PiecewiseConstantField,
     build_sharp_minimizer,
     continuous_crack_estimate,
@@ -249,6 +251,10 @@ def gamma_sweep_V(
 # 250 bytes together: at this bound a scan writes some 25 MB.
 _SCAN_ROWS_MAX = 10**5
 
+# A load lo + i*step lands within 2 ulps of the end it is meant to hit
+# (200000 random decimal ranges); rows this close to an end are that end.
+_END_ULPS = 4
+
 
 def crack_scan(
     lambda_range: tuple[float, float],
@@ -256,7 +262,15 @@ def crack_scan(
     mu: float,
     model: MaterialModel,
 ) -> ScanReport:
-    """Tabulate the crack-count law on an open interval of loads."""
+    """Tabulate the crack-count law on an open interval of loads.
+
+    Each row's crack positions are those of variant A of the n-crack
+    minimizer, read off its construction without building the field:
+    segment j (j even) rises elastically first and holds its plateau at
+    h = j/n + 1/n, the value ``build_sharp_minimizer`` gives that kink.
+    A count above the 10**6 cracks a field is built for raises
+    ``DomainError``, as the builder does.
+    """
     lo, hi = lambda_range
     if not 1.0 <= lo < hi < math.inf:
         raise ValueError(f"lambda range must satisfy 1 <= lo < hi < inf, got {lambda_range}")
@@ -268,21 +282,24 @@ def crack_scan(
     if not steps <= _SCAN_ROWS_MAX:
         raise ValueError(f"step {step!r} gives {steps:.4g} rows, more than {_SCAN_ROWS_MAX}")
     cw = c_wstar(model)
+    end_tol = _END_ULPS * math.ulp(hi)
     rows = []
     count = int(round(steps))
     previous = 0
     for i in range(1, count + 1):
         lam = lo + i * step
-        if lam >= hi - 1e-12 or lam <= lo + 1e-12:
+        if lam >= hi - end_tol or lam <= lo + end_tol:
             continue
         x = continuous_crack_estimate(cw, mu, lam)
         n = crack_count(cw, mu, lam)
+        if n > _CRACKS_MAX:
+            raise DomainError(
+                f"crack count n = {n:.4g} exceeds the {_CRACKS_MAX} a field is built for"
+            )
         if n < previous:
             raise RuntimeError(f"crack count fell from {previous} to {n} at lambda={lam:g}")
         previous = n
-        positions = tuple(
-            pos for pos, _ in build_sharp_minimizer(n, lam, "A", cw, mu).cracks
-        )
+        positions = tuple(j / n + 1.0 / n for j in range(0, n, 2))
         rows.append(ScanRow(lam, x, n, v_n(n, cw, mu, lam), positions))
     metadata = {"mu": mu, "model": model.name, "step": step, "c_wstar": cw}
     return ScanReport(tuple(rows), metadata)

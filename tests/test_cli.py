@@ -589,8 +589,14 @@ _FIELD = Path(__file__).parent / "golden" / "sharp-reconstruct" / "sharp_lambda1
         pytest.param("cwstar --abs-tol nan", "abs_tol", id="cwstar-abs-tol-nan"),
         pytest.param(f"{_SHARP} --lambda 1e200", "lambda", id="sharp-lambda-overflows"),
         pytest.param(f"{_SCAN} --step 1e-320", "step", id="scan-step-too-small"),
-        # Huge but finite: about 5.6e100 cracks, 1e300 rows, an overflowing count.
+        # Huge but finite: about 5.6e100 cracks, 4.5e98 cracks at a scan's
+        # first load, 1e300 rows, an overflowing count.
         pytest.param(f"{_SHARP} --lambda 1e150", "crack count", id="sharp-too-many-cracks"),
+        pytest.param(
+            "scan --mu 1e300 --lambda-min 1 --lambda-max 2 --step 0.01",
+            "crack count",
+            id="scan-too-many-cracks",
+        ),
         pytest.param(f"{_SCAN} --step 1e-300", "step", id="scan-too-many-rows"),
         pytest.param(f"{_SHARP} --lambda 1e154", "crack count", id="sharp-crack-count-overflows"),
         # These rows pass an --out that is an existing file.

@@ -12,9 +12,15 @@ from fracture1d.harness import (
     gamma_sweep_I,
     gamma_sweep_V,
 )
-from fracture1d.material import builtin_lj
+from fracture1d.material import builtin_lj, c_wstar
 from fracture1d.regularized import SolveSettings, minimize
-from fracture1d.sharp import crack_count
+from fracture1d.sharp import (
+    DomainError,
+    build_sharp_minimizer,
+    continuous_crack_estimate,
+    crack_count,
+    v_n,
+)
 
 LJ = builtin_lj()
 C_LJ = 4.0 * math.sqrt(2.0) / 15.0
@@ -41,6 +47,66 @@ def test_crack_scan_special_stiffness_matches_bracket():
     for row in report.rows:
         assert row.x == pytest.approx((row.lam - 1.0) ** (2.0 / 3.0), abs=1e-9)
         assert row.n == crack_count(C_LJ, 3.0 * C_LJ, row.lam)
+
+
+def _scan_rows_from_the_builder(lambda_range, step, mu):
+    """The scan loop that reads each row's positions off the built
+    variant-A minimizer; its absolute end tolerance holds for loads near 1."""
+    lo, hi = lambda_range
+    cw = c_wstar(LJ)
+    rows = []
+    for i in range(1, int(round((hi - lo) / step)) + 1):
+        lam = lo + i * step
+        if lam >= hi - 1e-12 or lam <= lo + 1e-12:
+            continue
+        n = crack_count(cw, mu, lam)
+        positions = tuple(pos for pos, _ in build_sharp_minimizer(n, lam, "A", cw, mu).cracks)
+        rows.append(
+            harness.ScanRow(
+                lam, continuous_crack_estimate(cw, mu, lam), n, v_n(n, cw, mu, lam), positions
+            )
+        )
+    return tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "lambda_range, step, mu",
+    [
+        ((1.0, 2.0), 0.01, 0.0),
+        ((1.0, 2.0), 0.01, 200.0),
+        ((1.0, 2.0), 0.01, 2000.0),
+        # Loads just above 1, where the plateaus are some 1e-9 long.
+        ((1.0 + 1e-9, 1.0 + 1e-6), 1e-8, 200.0),
+        # Some 18000 to 37000 cracks a row.
+        ((1.0, 2.0), 0.25, 1e14),
+    ],
+)
+def test_bitwise_crack_scan_rows_are_the_built_minimizers(lambda_range, step, mu):
+    report = crack_scan(lambda_range, step, mu, LJ)
+    reference = _scan_rows_from_the_builder(lambda_range, step, mu)
+    assert len(report.rows) == len(reference) > 0
+    assert report.rows == reference
+    if mu == 1e14:
+        assert 10**4 < report.rows[0].n < report.rows[-1].n < 10**5
+
+
+def test_crack_scan_raises_past_the_crack_bound():
+    # About 4.5e98 cracks at the first load: no row is built.
+    with pytest.raises(DomainError, match="crack count"):
+        crack_scan((1.0, 2.0), 0.01, 1e300, LJ)
+    # Some 660000 cracks at lambda 1.25 and 1050000 at the next row, 1.5.
+    mu = 3.0 * C_LJ * 1.05e6**3 / 0.5**2
+    assert crack_count(C_LJ, mu, 1.25) < 10**6 < crack_count(C_LJ, mu, 1.5)
+    with pytest.raises(DomainError, match="crack count"):
+        crack_scan((1.0, 2.0), 0.25, mu, LJ)
+
+
+def test_crack_scan_leaves_out_both_ends_at_large_loads():
+    # lo + 3 * step lands 5.8e-11 (one ulp) below the upper end here.
+    report = crack_scan((300000.1, 300000.4), 0.1, 200.0, LJ)
+    assert len(report.rows) == 2
+    assert all(300000.1 < row.lam < 300000.4 for row in report.rows)
+    assert len(crack_scan((1.0, 2.0), 0.01, 200.0, LJ).rows) == 99
 
 
 def test_crack_count_monotone_in_mu():
