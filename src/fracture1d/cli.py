@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
-import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -255,7 +254,7 @@ def _cmd_sharp(merged, config) -> int:
         "n": n,
         "energy": energy,
     }
-    _write(out / f"{stem}.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write(out / f"{stem}.json", serialize.json_text(summary))
     print(f"n={n} energy={energy:.12g} x={x:.12g}")
     return EXIT_OK
 

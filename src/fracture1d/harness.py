@@ -30,8 +30,8 @@ from .sharp import (
     _CRACKS_MAX,
     DomainError,
     PiecewiseConstantField,
+    _crack_selection,
     build_sharp_minimizer,
-    continuous_crack_estimate,
     crack_count,
     v_n,
 )
@@ -269,7 +269,8 @@ def crack_scan(
     segment j (j even) rises elastically first and holds its plateau at
     h = j/n + 1/n, the value ``build_sharp_minimizer`` gives that kink.
     A count above the 10**6 cracks a field is built for raises
-    ``DomainError``, as the builder does.
+    ``DomainError``, as the builder does.  A row's V_n is the energy the
+    count selection compared, so a row evaluates x and each energy once.
     """
     lo, hi = lambda_range
     if not 1.0 <= lo < hi < math.inf:
@@ -290,8 +291,7 @@ def crack_scan(
         lam = lo + i * step
         if lam >= hi - end_tol or lam <= lo + end_tol:
             continue
-        x = continuous_crack_estimate(cw, mu, lam)
-        n = crack_count(cw, mu, lam)
+        x, n, energy = _crack_selection(cw, mu, lam)
         if n > _CRACKS_MAX:
             raise DomainError(
                 f"crack count n = {n:.4g} exceeds the {_CRACKS_MAX} a field is built for"
@@ -300,6 +300,6 @@ def crack_scan(
             raise RuntimeError(f"crack count fell from {previous} to {n} at lambda={lam:g}")
         previous = n
         positions = tuple(j / n + 1.0 / n for j in range(0, n, 2))
-        rows.append(ScanRow(lam, x, n, v_n(n, cw, mu, lam), positions))
+        rows.append(ScanRow(lam, x, n, energy, positions))
     metadata = {"mu": mu, "model": model.name, "step": step, "c_wstar": cw}
     return ScanReport(tuple(rows), metadata)

@@ -4,10 +4,13 @@ A material is a plain record: the inverse density ``wstar`` with wells at
 H = 0 (broken phase) and H = 1 (unstretched), its derivative, and the
 quadratic-growth constants (C, M) with wstar(H) >= C*H^2 for H >= M.
 Densities must be defined and finite on [0, inf) and accept numpy arrays.
+A model's surface constant ``c_wstar`` is integrated once per instance,
+and ``builtin_lj`` gives one shared model per process.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -58,6 +61,14 @@ class MaterialModel:
     wstar_prime: Callable[[np.ndarray], np.ndarray]
     growth_constants: tuple[float, float]
 
+    # Kept in the instance's __dict__ after the first read, not in a table
+    # keyed on the model: a list of growth constants makes it unhashable.
+    # A replaced model is a new instance and integrates again.
+    @functools.cached_property
+    def _c_wstar(self) -> float:
+        value, _ = surface_constant_quadrature(self, QUADRATURE_TOL)
+        return value
+
 
 @dataclass(frozen=True)
 class DirectDensityView:
@@ -84,11 +95,14 @@ class GrowthReport:
     m: float
 
 
+@functools.cache
 def builtin_lj() -> MaterialModel:
     """Inverse density H*(1-H)^2 of the Lennard-Jones-type direct density.
 
     The direct counterpart is w(F) = (1 - 1/F)^2.  Growth constants
-    (C, M) = (1/4, 2) are verified by sampling at construction.
+    (C, M) = (1/4, 2) are verified by sampling at the first call.  The
+    model is frozen and its densities stateless, so every call of a
+    process returns that one model, and its ``c_wstar`` is integrated once.
     """
 
     def wstar(h):
@@ -300,6 +314,10 @@ def surface_constant_quadrature(model: MaterialModel, abs_tol: float) -> tuple[f
 
 def c_wstar(model: MaterialModel) -> float:
     """Per-crack surface-energy constant of the sharp-interface limit, to
-    within QUADRATURE_TOL."""
-    value, _ = surface_constant_quadrature(model, QUADRATURE_TOL)
-    return value
+    within QUADRATURE_TOL.
+
+    Integrated once per model instance and kept on it; a model made with
+    ``dataclasses.replace`` integrates its own.  ``cwstar`` calls
+    ``surface_constant_quadrature`` instead, at its own tolerance.
+    """
+    return model._c_wstar

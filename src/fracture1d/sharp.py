@@ -358,13 +358,18 @@ def crack_count(c_wstar: float, mu: float, lam: float) -> int:
     Below 1 the count is 1; otherwise the floor m competes against m+1
     and ties go to the smaller count.
     """
+    return _crack_selection(c_wstar, mu, lam)[1]
+
+
+def _crack_selection(c_wstar: float, mu: float, lam: float) -> tuple[float, int, float]:
+    """The continuous estimate x, the count n that ``crack_count`` selects
+    from it, and v_n, the energy the selection compared."""
     x = continuous_crack_estimate(c_wstar, mu, lam)
     if x < 1.0:
-        return 1
+        return x, 1, v_n(1, c_wstar, mu, lam)
     m = int(math.floor(x))
-    if v_n(m, c_wstar, mu, lam) <= v_n(m + 1, c_wstar, mu, lam):
-        return m
-    return m + 1
+    below, above = v_n(m, c_wstar, mu, lam), v_n(m + 1, c_wstar, mu, lam)
+    return (x, m, below) if below <= above else (x, m + 1, above)
 
 
 # A minimizer with n cracks holds 2n + 1 knots, and each is one line of

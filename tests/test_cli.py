@@ -396,20 +396,24 @@ def test_cli_reconstruct_rejects_a_piecewise_constant_field(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text",
+    ("text", "error"),
     [
-        pytest.param("lambda 1.5\nkind pwlinear\n0 0\n0.5 inf\n1.5 1\n", id="value-inf"),
-        pytest.param("lambda 1e400\nkind pwlinear\n0 0\n1e400 1\n", id="lambda-overflows"),
+        pytest.param("lambda 1.5\nkind pwlinear\n0 0\n0.5 inf\n1.5 1\n", "finite", id="value-inf"),
+        pytest.param("lambda 1e400\nkind pwlinear\n0 0\n1e400 1\n", "finite", id="lambda-overflows"),
+        pytest.param("lambda 1.5 junk\nkind pwlinear\n0 0\n1 1\n1.5 1\n", "exactly one value",
+                     id="lambda-extra-token"),
+        pytest.param("lambda 1.5\nkind pwlinear 7\n0 0\n1 1\n1.5 1\n", "exactly one value",
+                     id="kind-extra-token"),
     ],
 )
-def test_cli_reconstruct_rejects_a_field_that_is_not_finite(tmp_path, capsys, text):
+def test_cli_reconstruct_rejects_a_field_that_is_not_finite(tmp_path, capsys, text, error):
     field = tmp_path / "inf.field"
     field.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["reconstruct", "--field", str(field), "--out", str(out)]) == 2
-    assert "finite" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -90,6 +90,29 @@ def test_bitwise_crack_scan_rows_are_the_built_minimizers(lambda_range, step, mu
         assert 10**4 < report.rows[0].n < report.rows[-1].n < 10**5
 
 
+def test_crack_scan_computes_each_row_once(monkeypatch):
+    import fracture1d.sharp as sharp
+
+    calls = {"x": 0, "v_n": 0}
+    estimate, energy = sharp.continuous_crack_estimate, sharp.v_n
+
+    def counting_estimate(*args):
+        calls["x"] += 1
+        return estimate(*args)
+
+    def counting_v_n(*args):
+        calls["v_n"] += 1
+        return energy(*args)
+
+    monkeypatch.setattr(sharp, "continuous_crack_estimate", counting_estimate)
+    monkeypatch.setattr(sharp, "v_n", counting_v_n)
+    # Below x = 1 the count is 1 and compares no energies: V_1 is the row's.
+    rows = crack_scan((1.0, 2.0), 0.01, 200.0, LJ).rows
+    compared = sum(row.x >= 1.0 for row in rows)
+    assert 0 < compared < len(rows)
+    assert calls == {"x": len(rows), "v_n": len(rows) + compared}
+
+
 def test_crack_scan_raises_past_the_crack_bound():
     # About 4.5e98 cracks at the first load: no row is built.
     with pytest.raises(DomainError, match="crack count"):
@@ -254,6 +277,6 @@ def test_crack_scan_raises_when_the_count_steps_down(monkeypatch):
     import fracture1d.harness as harness
 
     counts = iter([3, 2])
-    monkeypatch.setattr(harness, "crack_count", lambda cw, mu, lam: next(counts))
+    monkeypatch.setattr(harness, "_crack_selection", lambda cw, mu, lam: (1.0, next(counts), 1.0))
     with pytest.raises(RuntimeError, match="crack count fell"):
         crack_scan((1.0, 1.3), 0.1, 200.0, LJ)

@@ -180,3 +180,85 @@ def test_builtin_growth_constants_verified_at_construction():
     assert c == 0.25 and m == 2.0
     hs = np.linspace(m, 10 * m, 500)
     assert np.all(builtin_lj().wstar(hs) >= c * hs**2)
+
+
+# ------------------------------------------------- one quadrature per model
+
+
+@pytest.fixture
+def quadratures(monkeypatch):
+    """A list that grows by one per run of the adaptive quadrature."""
+    import fracture1d.material as material
+
+    runs = []
+    quadrature = material.adaptive_quadrature
+
+    def counting(*args, **kwargs):
+        runs.append(args[1:])
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(material, "adaptive_quadrature", counting)
+    return runs
+
+
+def test_builtin_lj_is_one_model_per_process():
+    assert builtin_lj() is builtin_lj() is resolve_model("lj")
+
+
+def test_a_v_sweep_integrates_once(quadratures):
+    from dataclasses import replace
+
+    from fracture1d.harness import gamma_sweep_V
+    from fracture1d.regularized import SolveSettings
+
+    model = replace(builtin_lj())  # a fresh instance, not yet integrated
+    settings = SolveSettings(lam=1.5, epsilon=1.0, mu=200.0, grid_n=64, max_iterations=5)
+    report = gamma_sweep_V(model, [0.1, 0.05], settings)
+    assert len(report.rows) == 2
+    assert len(quadratures) == 1
+
+
+def test_sharp_and_scan_commands_integrate_once_per_process(quadratures, tmp_path, capsys):
+    from fracture1d import cli
+
+    builtin_lj.cache_clear()  # a new process's first model
+    for _ in range(2):
+        assert cli.main(["sharp", "--lambda", "1.5", "--mu", "200", "--out", str(tmp_path)]) == 0
+        assert cli.main(["scan", "--mu", "200", "--lambda-min", "1", "--lambda-max", "1.2",
+                         "--step", "0.1", "--out", str(tmp_path)]) == 0
+    assert len(quadratures) == 1
+    assert c_wstar(builtin_lj()) == pytest.approx(C_LJ, abs=1e-10)
+    assert len(quadratures) == 1
+
+
+def test_a_replaced_model_integrates_again(quadratures):
+    from dataclasses import replace
+
+    lj = builtin_lj()
+    value = c_wstar(lj)
+    before = len(quadratures)
+    doubled = replace(lj, wstar=lambda h: 4.0 * lj.wstar(h))
+    assert c_wstar(doubled) == pytest.approx(2.0 * value, abs=1e-10)
+    assert len(quadratures) == before + 1
+    assert c_wstar(lj) == value and c_wstar(doubled) == c_wstar(doubled)
+    assert len(quadratures) == before + 1
+
+
+def test_a_model_with_list_growth_constants_gets_its_constant(quadratures):
+    lj = builtin_lj()
+    listed = MaterialModel("lj-list", lj.wstar, lj.wstar_prime, [0.25, 2.0])
+    assert c_wstar(listed) == pytest.approx(C_LJ, abs=1e-10)
+    assert c_wstar(listed) == c_wstar(listed)
+    assert len(quadratures) == 1
+
+
+def test_the_cwstar_command_integrates_at_every_call(quadratures, capsys):
+    from fracture1d import cli
+
+    c_wstar(builtin_lj())
+    before = len(quadratures)
+    for tol in ("1e-10", "1e-6", "1e-10"):
+        assert cli.main(["cwstar", "--model", "lj", "--abs-tol", tol]) == 0
+    assert len(quadratures) == before + 3
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == printed[2] != printed[1]
