@@ -128,37 +128,47 @@ def _read_text(path: str, what: str) -> str:
         raise ConfigError(f"{what} {path!r} {why}") from exc
 
 
-def _read_config(path: str | None) -> configparser.ConfigParser:
-    """The parsed config file, with every value interpolated once so that
-    a malformed file is a ConfigError here and not a traceback later."""
-    cp = configparser.ConfigParser()
-    if path:
-        try:
-            cp.read_string(_read_text(path, "config file"), source=path)
-            for section in cp.sections():
-                cp.items(section)
-        except configparser.Error as exc:
-            raise ConfigError(f"config file {path!r}: {exc}") from exc
-    return cp
-
-
-def _config_model(config: configparser.ConfigParser) -> dict[str, MaterialModel]:
-    if not config.has_section("model"):
+def _read_config(path: str | None) -> dict[str, dict[str, str]]:
+    """The config file's sections as plain dicts ({} without a file), every
+    value interpolated once, so that a malformed file or a section that is
+    neither a command nor [model], [DEFAULT] included, is a ConfigError here."""
+    if not path:
         return {}
-    section = config["model"]
+    cp = configparser.ConfigParser(default_section="")  # [DEFAULT] is then a plain name
+    try:
+        cp.read_string(_read_text(path, "config file"), source=path)
+        config = {section: dict(cp.items(section)) for section in cp.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path!r}: {exc}") from exc
+    unknown = set(config) - {"model", *_COMMANDS}
+    if unknown:
+        raise ConfigError(f"config file {path!r}: unknown sections {sorted(unknown)}")
+    return config
+
+
+def _cast(section: str, key: str, type_: type, raw: str):
+    """``type_(raw)``, or a ConfigError naming the section and key."""
+    try:
+        return type_(raw)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} must be {type_.__name__}, got {raw!r}") from None
+
+
+def _config_model(config: dict[str, dict[str, str]]) -> dict[str, MaterialModel]:
+    section = config.get("model")
+    if section is None:
+        return {}
     unknown = set(section) - {"name", "coeffs", "growth_c", "growth_m"}
     if unknown:
         raise ConfigError(f"unknown keys in [model]: {sorted(unknown)}")
-    name = section.get("name")
-    coeffs = section.get("coeffs")
+    name, coeffs = section.get("name"), section.get("coeffs")
     if not name or not coeffs:
         raise ConfigError("[model] needs both 'name' and 'coeffs'")
-    growth = None
-    if "growth_c" in section or "growth_m" in section:
-        if not ("growth_c" in section and "growth_m" in section):
-            raise ConfigError("[model] growth constants come in pairs")
-        growth = (section.getfloat("growth_c"), section.getfloat("growth_m"))
-    values = [float(tok) for tok in coeffs.replace(",", " ").split()]
+    growth_keys = [key for key in ("growth_c", "growth_m") if key in section]
+    if len(growth_keys) == 1:
+        raise ConfigError("[model] growth constants come in pairs")
+    growth = tuple(_cast("model", key, float, section[key]) for key in growth_keys) or None
+    values = [_cast("model", "coeffs", float, tok) for tok in coeffs.replace(",", " ").split()]
     return {name: polynomial_model(name, values, growth)}
 
 
@@ -169,7 +179,7 @@ def _config_value(option: _Option, section: str, raw: str):
         if raw.lower() not in states:
             raise ConfigError(f"[{section}] {option.key} must be a boolean, got {raw!r}")
         return states[raw.lower()]
-    value = option.type(raw)
+    value = _cast(section, option.key, option.type, raw)
     if option.choices and value not in option.choices:
         raise ConfigError(
             f"[{section}] {option.key} must be one of {list(option.choices)}, got {raw!r}"
@@ -181,15 +191,15 @@ def _gather(args, config) -> dict:
     """Each setting of the command: its flag, else its config value, else its default."""
     section = args.command
     options = _options(section)
-    if config.has_section(section):
-        unknown = set(config[section]) - set(options)
-        if unknown:
-            raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
+    values = config.get(section, {})
+    unknown = set(values) - set(options)
+    if unknown:
+        raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
     merged = {}
     for key, option in options.items():
         value = getattr(args, key)
-        if value is None and config.has_option(section, key):
-            value = _config_value(option, section, config.get(section, key))
+        if value is None and key in values:
+            value = _config_value(option, section, values[key])
         merged[key] = option.default if value is None else value
     missing = [key for key, value in merged.items() if value is None]
     if missing:

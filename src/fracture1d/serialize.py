@@ -3,8 +3,8 @@
 CSV numbers are written with 12 significant digits, below the tightest
 tolerance used anywhere, so emitted files re-parse to equivalent
 values and identical inputs produce byte-identical output.  Every JSON
-file goes through one writer, ``json_text``, whose bytes are those of
-``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline.
+file is ``json_text``'s: ``json.dumps(obj, indent=2, sort_keys=True)``
+plus a newline.
 """
 
 from __future__ import annotations
@@ -41,94 +41,9 @@ def format_number(x) -> str:
     return f"{float(x):.12g}"
 
 
-# json.dumps encodes with the pure-Python json.encoder once indent is
-# set; this writer makes the same bytes with C-level writers of each
-# scalar, chosen by its exact type.
-_escape = json.encoder.encode_basestring_ascii
-_SINGLETONS = {None: "null", True: "true", False: "false"}
-_SCALAR = {
-    float: float.__repr__,  # repr(np.float64(0.5)) is 'np.float64(0.5)'
-    int: int.__repr__,
-    str: _escape,
-    bool: _SINGLETONS.__getitem__,
-    type(None): _SINGLETONS.__getitem__,
-}
-# The kind of each exact type: itself for a scalar, list for a tuple.
-_EXACT = {**{t: t for t in _SCALAR}, list: list, tuple: list, dict: dict}
-# A float's repr where json writes other text.  No other value's text
-# reads so: a string's text is quoted.
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _kind(o) -> type:
-    """The kind of a value whose type is a subclass, checked in
-    json.encoder's order (None and the bools have no subclasses)."""
-    if isinstance(o, str):
-        return str
-    for kind in (int, float, list, tuple, dict):
-        if isinstance(o, kind):
-            return _EXACT[kind]
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    """A dict key as json.encoder writes it: a str as is, and an int,
-    float, bool or None as json.dumps writes the value, then quoted."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            name = key.__class__.__name__
-            raise TypeError(f"keys must be str, int, float, bool or None, not {name}")
-        key = json.dumps(key)
-    return _escape(key)
-
-
-def _texts(values, nl: str, open_ids: set) -> list[str]:
-    """The JSON text of each of ``values``, as ``_value_text`` writes it."""
-    texts = [
-        write(v) if (write := _SCALAR.get(type(v))) else _value_text(v, nl, open_ids)
-        for v in values
-    ]
-    if _NONFINITE.keys().isdisjoint(texts):
-        return texts
-    return [_NONFINITE.get(t, t) for t in texts]
-
-
-def _value_text(o, nl: str, open_ids: set) -> str:
-    """o's JSON text, its nested lines starting with the line break ``nl``
-    plus two spaces; ``open_ids`` holds the containers o lies within."""
-    kind = _EXACT.get(type(o)) or _kind(o)
-    if kind is not list and kind is not dict:
-        text = _SCALAR[kind](o)
-        return _NONFINITE.get(text, text)
-    if not o:
-        return "[]" if kind is list else "{}"
-    if id(o) in open_ids:
-        raise ValueError("Circular reference detected")
-    open_ids.add(id(o))
-    inner = nl + "  "
-    if kind is list:
-        text = "[" + inner + ("," + inner).join(_texts(o, inner, open_ids)) + nl + "]"
-    else:
-        keys, values = zip(*sorted(o.items()))
-        try:
-            keys = list(map(_escape, keys))  # only str keys, as every payload
-        except TypeError:  # a key json converts, or rejects, in turn with the values
-            pairs = [
-                _key_text(k) + ": " + _value_text(v, inner, open_ids) for k, v in zip(keys, values)
-            ]
-        else:
-            pairs = [k + ": " + t for k, t in zip(keys, _texts(values, inner, open_ids))]
-        text = "{" + inner + ("," + inner).join(pairs) + nl + "}"
-    open_ids.discard(id(o))
-    return text
-
-
 def json_text(obj) -> str:
-    """The JSON file text of ``obj``: the bytes of
-    ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, with NaN and
-    infinities written as json writes them, and the same TypeError for a
-    value or key json cannot encode."""
-    return _value_text(obj, "\n", set()) + "\n"
+    """The JSON file text of ``obj``: sorted keys, two-space indent, a closing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def field_to_text(field: PiecewiseLinearField) -> str:

@@ -627,3 +627,74 @@ def test_cli_rejects_a_bad_value_before_writing(tmp_path, capsys, line, word):
         assert out.read_text() == "kept\n"
     else:
         assert not out.exists()
+
+
+# ------------------------------------------------------------ config sections and values
+
+
+@pytest.mark.parametrize(
+    "line", [_SHARP, _SCAN, f"reconstruct --field {_FIELD}"], ids=["sharp", "scan", "reconstruct"]
+)
+def test_cli_without_config_builds_no_config_parser(tmp_path, monkeypatch, capsys, line):
+    def no_parser(*args, **kwargs):
+        raise AssertionError("a ConfigParser was built without --config")
+
+    monkeypatch.setattr(cli.configparser, "ConfigParser", no_parser)
+    assert main([*line.split(), "--out", str(tmp_path)]) == 0
+    assert any(tmp_path.glob("*.json"))
+
+
+_QUARTIC_MODEL = "[model]\nname = quartic\ncoeffs = 0, 0, 2, -4, 2\n{}[cwstar]\nmodel = quartic\n"
+
+
+# (growth lines of [model], a word the error names, or None for success)
+@pytest.mark.parametrize(
+    "growth, word",
+    [
+        pytest.param("growth_c = 1\ngrowth_m = 3\n", None, id="pair"),
+        pytest.param("growth_c = 1\n", "come in pairs", id="one-alone"),
+        pytest.param("growth_c = x\ngrowth_m = 3\n", "[model] growth_c", id="not-a-number"),
+        pytest.param("growth_c = 1e6\ngrowth_m = 3\n", "growth bound", id="too-large"),
+    ],
+)
+def test_cli_config_model_growth_constants(tmp_path, capsys, growth, word):
+    config = tmp_path / "run.ini"
+    config.write_text(_QUARTIC_MODEL.format(growth), encoding="utf-8")
+    rc = main(["cwstar", "--config", str(config)])
+    captured = capsys.readouterr()
+    if word is None:
+        assert rc == 0
+        assert float(captured.out.split()[0]) == pytest.approx(1.0 / 3.0, abs=1e-10)
+    else:
+        assert rc == 2
+        assert captured.err.startswith("error:")
+        assert word in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        pytest.param("[swep]\ngrid = 32\n", _SWEEP, id="misspelt-command"),
+        pytest.param("[DEFAULT]\nlambda = 1.5\nmu = 200\n[sharp]\n", "sharp", id="default"),
+    ],
+)
+def test_cli_config_rejects_a_section_that_is_not_a_command(tmp_path, capsys, text, line):
+    config = tmp_path / "run.ini"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*line.split(), "--config", str(config), "--out", str(out)]) == 2
+    assert "unknown sections" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_config_bad_value_names_its_section_and_key(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[sweep]\ngrid = abc\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main([
+        "sweep", "--config", str(config), "--functional", "I", "--lambda", "0.8",
+        "--epsilons", "0.1", "--max-iterations", "5", "--out", str(out),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: [sweep] grid must be int, got 'abc'\n"
+    assert not out.exists()
