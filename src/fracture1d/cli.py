@@ -128,10 +128,15 @@ def _read_text(path: str, what: str) -> str:
         raise ConfigError(f"{what} {path!r} {why}") from exc
 
 
+# The keys of the [model] section, which defines a polynomial model.
+_MODEL_KEYS = ("name", "coeffs", "growth_c", "growth_m")
+
+
 def _read_config(path: str | None) -> dict[str, dict[str, str]]:
     """The config file's sections as plain dicts ({} without a file), every
-    value interpolated once, so that a malformed file or a section that is
-    neither a command nor [model], [DEFAULT] included, is a ConfigError here."""
+    value interpolated once, so that a malformed file, a section that is
+    neither a command nor [model], [DEFAULT] included, or a key that its
+    section does not use is a ConfigError here, whichever command runs."""
     if not path:
         return {}
     cp = configparser.ConfigParser(default_section="")  # [DEFAULT] is then a plain name
@@ -143,6 +148,10 @@ def _read_config(path: str | None) -> dict[str, dict[str, str]]:
     unknown = set(config) - {"model", *_COMMANDS}
     if unknown:
         raise ConfigError(f"config file {path!r}: unknown sections {sorted(unknown)}")
+    for section, values in config.items():
+        unknown = set(values) - set(_MODEL_KEYS if section == "model" else _options(section))
+        if unknown:
+            raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
     return config
 
 
@@ -158,9 +167,6 @@ def _config_model(config: dict[str, dict[str, str]]) -> dict[str, MaterialModel]
     section = config.get("model")
     if section is None:
         return {}
-    unknown = set(section) - {"name", "coeffs", "growth_c", "growth_m"}
-    if unknown:
-        raise ConfigError(f"unknown keys in [model]: {sorted(unknown)}")
     name, coeffs = section.get("name"), section.get("coeffs")
     if not name or not coeffs:
         raise ConfigError("[model] needs both 'name' and 'coeffs'")
@@ -192,9 +198,6 @@ def _gather(args, config) -> dict:
     section = args.command
     options = _options(section)
     values = config.get(section, {})
-    unknown = set(values) - set(options)
-    if unknown:
-        raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
     merged = {}
     for key, option in options.items():
         value = getattr(args, key)

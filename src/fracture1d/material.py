@@ -1,8 +1,9 @@
 """Stored-energy densities for the two-well inverse-stretch description.
 
 A material is a plain record: the inverse density ``wstar`` with wells at
-H = 0 (broken phase) and H = 1 (unstretched), its derivative, and the
-quadratic-growth constants (C, M) with wstar(H) >= C*H^2 for H >= M.
+H = 0 (broken phase) and H = 1 (unstretched), its first and second
+derivatives, and the quadratic-growth constants (C, M) with
+wstar(H) >= C*H^2 for H >= M.
 Densities must be defined and finite on [0, inf) and accept numpy arrays.
 A model's surface constant ``c_wstar`` is integrated once per instance,
 and ``builtin_lj`` gives one shared model per process.
@@ -53,12 +54,15 @@ class MaterialModel:
         name: identifier used for CLI selection and report metadata
         wstar: energy density as a function of inverse stretch H >= 0
         wstar_prime: derivative of wstar
+        wstar_second: derivative of wstar_prime, the curvature a Newton
+            step reads
         growth_constants: (C, M) with wstar(H) >= C*H^2 for H >= M
     """
 
     name: str
     wstar: Callable[[np.ndarray], np.ndarray]
     wstar_prime: Callable[[np.ndarray], np.ndarray]
+    wstar_second: Callable[[np.ndarray], np.ndarray]
     growth_constants: tuple[float, float]
 
     # Kept in the instance's __dict__ after the first read, not in a table
@@ -118,7 +122,11 @@ def builtin_lj() -> MaterialModel:
         out *= 1.0 - h
         return float(out) if out.ndim == 0 else out
 
-    model = MaterialModel("lj", wstar, wstar_prime, (0.25, 2.0))
+    def wstar_second(h):
+        out = 6.0 * np.asarray(h, dtype=float) - 4.0
+        return float(out) if out.ndim == 0 else out
+
+    model = MaterialModel("lj", wstar, wstar_prime, wstar_second, (0.25, 2.0))
     validate_model(model)
     return model
 
@@ -138,6 +146,7 @@ def polynomial_model(
     if c.ndim != 1 or c.size < 2:
         raise ValueError("need at least two polynomial coefficients")
     dc = c[1:] * np.arange(1, c.size)
+    ddc = dc[1:] * np.arange(1, dc.size)
 
     def wstar(h):
         h = np.asarray(h, dtype=float)
@@ -147,6 +156,11 @@ def polynomial_model(
     def wstar_prime(h):
         h = np.asarray(h, dtype=float)
         out = np.polynomial.polynomial.polyval(h, dc)
+        return float(out) if out.ndim == 0 else out
+
+    def wstar_second(h):
+        h = np.asarray(h, dtype=float)
+        out = np.polynomial.polynomial.polyval(h, ddc)
         return float(out) if out.ndim == 0 else out
 
     if growth_constants is None:
@@ -160,7 +174,7 @@ def polynomial_model(
             )
         growth_constants = (0.9 * cmin, m)
 
-    model = MaterialModel(name, wstar, wstar_prime, growth_constants)
+    model = MaterialModel(name, wstar, wstar_prime, wstar_second, growth_constants)
     validate_model(model)
     return model
 
@@ -175,7 +189,7 @@ def resolve_model(name: str, custom: dict[str, MaterialModel] | None = None) -> 
 
 
 def validate_model(model: MaterialModel) -> None:
-    """Check the two-well structure, the growth bound and the derivative.
+    """Check the two-well structure, the growth bound and both derivatives.
 
     Raises ValueError on the first violated property.
     """
@@ -195,10 +209,14 @@ def validate_model(model: MaterialModel) -> None:
     # Centered differences; step sized against the cubic truncation term.
     hs = 0.05 + 2.9 * (np.arange(samples) + 0.5) / samples
     step = 1e-6
-    fd = (model.wstar(hs + step) - model.wstar(hs - step)) / (2.0 * step)
-    err = np.abs(fd - model.wstar_prime(hs)) / (1.0 + np.abs(fd))
-    if np.max(err) > 1e-6:
-        raise ValueError(f"model {model.name!r}: wstar_prime disagrees with wstar")
+    for f, df, message in (
+        (model.wstar, model.wstar_prime, "wstar_prime disagrees with wstar"),
+        (model.wstar_prime, model.wstar_second, "wstar_second disagrees with wstar_prime"),
+    ):
+        fd = (f(hs + step) - f(hs - step)) / (2.0 * step)
+        err = np.abs(fd - df(hs)) / (1.0 + np.abs(fd))
+        if np.max(err) > 1e-6:
+            raise ValueError(f"model {model.name!r}: {message}")
 
 
 def check_growth(model: MaterialModel, samples: int = 256) -> GrowthReport:

@@ -6,12 +6,15 @@ share one interfacial kernel: V's energy and gradient are E's at its
 slopes plus the foundation term.  Both functionals are minimized by
 projected gradient descent with Barzilai-Borwein steps safeguarded by
 backtracking along the projected direction; the one projection per
-iteration also certifies convergence.  A descent stops when that
-stationarity test holds, at its iteration cap, or when no step passes
-the line search.  Exact projections
-(Michelot's active-set shift for the mass constraint, PAV for
-monotonicity) and convex combinations of feasible points keep every
-iterate feasible, so energies are meaningful throughout.  Each
+iteration also certifies convergence.  E's Hessian is tridiagonal, so
+an E descent still running after ``_NEWTON_AFTER`` iterations goes on
+with projected Newton steps, one cyclic-reduction solve each, and hands
+the rest of its cap back to the first-order loop if they stall.  A
+descent stops when the stationarity test holds, at its iteration cap
+(both phases together), or when no step passes the line search.
+Exact projections (Michelot's active-set shift for the mass constraint,
+PAV for monotonicity) and convex combinations of feasible points keep
+every iterate feasible, so energies are meaningful throughout.  Each
 functional is one record of kernels (geometry, energy, gradient,
 projection) that the descent calls itself: the gradient at an accepted
 point reads the geometry that the point's energy evaluation built.  A
@@ -159,10 +162,11 @@ _MULTISTART_MAX = 1000
 class SolveSettings:
     """One solve: the load ``lam``, the regularization ``epsilon``, the
     foundation stiffness ``mu`` (V only), the number of grid cells, the
-    iteration cap of each descent, and the count and seed of the random
-    starts.  The grid must resolve the transition width.  These defaults
-    are also the command line's.  The stationarity tolerance ``GTOL`` and
-    the line-search constants are fixed beside ``_descend``.
+    iteration cap of each descent (first-order and Newton iterations
+    together), and the count and seed of the random starts.  The grid
+    must resolve the transition width.  These defaults are also the
+    command line's.  The stationarity tolerance ``GTOL`` and the
+    line-search and Newton-phase constants are fixed beside ``_descend``.
     """
 
     lam: float
@@ -262,6 +266,17 @@ def _e_grad_at(geometry, epsilon, model) -> np.ndarray:
     g[:-1] -= scaled
     g[1:] += scaled
     return g
+
+
+def _e_hessian_at(geometry, epsilon, model):
+    """E's Hessian (epsilon^2 / d) * L + d * diag(W*''(H)), L the path
+    Laplacian: its diagonal and its one off-diagonal value."""
+    values, d, _ = geometry
+    k = epsilon**2 / d
+    diag = model.wstar_second(values) * d
+    diag[1:-1] += 2.0 * k
+    diag[[0, -1]] += k
+    return diag, -k
 
 
 def _v_geometry(values, lam):
@@ -584,14 +599,30 @@ _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 
 
+# After this many first-order iterations a descent whose functional has a
+# tridiagonal Hessian (E) takes projected Newton steps.  It hands the rest
+# of its cap back to the first-order loop when residual/tol has not halved
+# over a window of Newton steps.
+_NEWTON_AFTER = 300
+_NEWTON_WINDOW = 50
+
+
 def _descend(
     x0: np.ndarray, kind: _Functional, settings: SolveSettings, model: MaterialModel
 ) -> tuple[np.ndarray, float, int, bool, list[float]]:
-    """Projected gradient descent on ``kind`` from x0.  It has three exits:
-    the stationarity test holds (converged), the iteration cap is reached,
-    or backtracking finds no step of sufficient decrease.  Each energy
-    evaluation builds its point's geometry, and the gradient at an
-    accepted point reads that geometry, so no gradient builds one."""
+    """Projected gradient descent on ``kind`` from x0, with a projected
+    Newton phase for E.  It has three exits: the stationarity test holds
+    (converged), the iteration cap is reached, or backtracking finds no
+    step of sufficient decrease.  Each energy evaluation builds its
+    point's geometry, and the gradient at an accepted point reads that
+    geometry, so no gradient builds one.
+
+    An E descent that has run ``_NEWTON_AFTER`` first-order iterations
+    without an exit goes on with ``_newton``.  Its steps count against the
+    same cap, and it ends the descent once the stationarity test holds.
+    If it stalls instead, the rest of the cap goes back to the
+    first-order loop, which restarts its step length from the last one
+    it took; Newton does not run twice.  V has no Newton phase."""
     lam = settings.lam
     x = kind.project(np.asarray(x0, dtype=float), lam)
     # epsilon^2 / d scales the differences: near its bound it overflows,
@@ -610,7 +641,20 @@ def _descend(
     step = _STEP_INIT
     converged = False
     iterations = 0
-    for iterations in range(1, settings.max_iterations + 1):
+    newton = kind.hessian_at is not None
+    while iterations < settings.max_iterations:
+        if newton and iterations == _NEWTON_AFTER:
+            newton = False
+            x, fx, gx, geometry, taken, converged = _newton(
+                x, fx, gx, geometry, kind, settings, model,
+                settings.max_iterations - iterations, history,
+            )
+            iterations += taken
+            if converged:
+                break
+            x_prev = None
+            continue
+        iterations += 1
         if x_prev is not None:
             s = x - x_prev
             yv = gx - g_prev
@@ -663,6 +707,129 @@ def _descend(
         gx = kind.gradient_at(geometry, settings, model)
         history.append(fx)
     return x, fx, iterations, converged, history
+
+
+def _newton(x, fx, gx, geometry, kind, settings, model, budget, history):
+    """Projected Newton steps (Bertsekas, SIAM J. Control Optim. 20, 1982)
+    on the simplex from an accepted point, at most ``budget`` iterations.
+
+    Each iteration first applies the stationarity test
+    ||x - P(x - g)|| <= GTOL (1 + ||g||) with the unit step itself.  It
+    then steps along the projected arc P(x + t delta) from
+    ``_newton_direction``, backtracking from t = 1 until the Armijo test
+    f <= fx + _ARMIJO * t * slope holds, so the energy never rises.  The
+    accepted energies join ``history``.  Returns the last accepted point
+    with its energy, gradient and geometry, the iterations spent and
+    whether the test held.  It stops early, unconverged, when residual/tol
+    has not halved over ``_NEWTON_WINDOW`` iterations or when no shift or
+    no step length gives a descent; the iteration that found this is not
+    spent."""
+    lam = settings.lam
+    mark = math.inf
+    for taken in range(budget):
+        tol = GTOL * (1.0 + math.sqrt(gx @ gx))
+        unit = x - kind.project(x - gx, lam)
+        ratio = math.sqrt(unit @ unit) / tol
+        if ratio <= 1.0:
+            return x, fx, gx, geometry, taken + 1, True
+        if taken % _NEWTON_WINDOW == 0:
+            if ratio > 0.5 * mark:
+                break
+            mark = ratio
+        delta, slope = _newton_direction(x, gx, geometry, kind, settings, model)
+        if delta is None:
+            break
+        t = 1.0
+        for _ in range(40):
+            xn = kind.project(x + t * delta, lam)
+            trial = kind.geometry(xn, lam)
+            fn = kind.energy_at(trial, settings, model)
+            if fn <= fx + _ARMIJO * t * slope:
+                break
+            t *= _BACKTRACK
+        else:
+            break
+        x, fx, geometry = xn, fn, trial
+        gx = kind.gradient_at(geometry, settings, model)
+        history.append(fx)
+    else:
+        return x, fx, gx, geometry, budget, False
+    return x, fx, gx, geometry, taken, False
+
+
+def _newton_direction(x, gx, geometry, kind, settings, model):
+    """The projected Newton direction at x and its slope g . delta < 0,
+    or (None, 0.0) when no shift gives a finite descent direction.
+
+    nu, the mean gradient over the positive cells, estimates the mass
+    multiplier.  The free set F holds the cells with H > 0 or g < nu;
+    the others sit at 0 and would leave the simplex by growing.  On F the
+    step solves the Hessian restricted to F, a tridiagonal matrix whose
+    off-diagonal is 0 where F has a gap, for g_F and for 1 in one
+    ``_tridiagonal_solve``; delta = -a + (sum a / sum b) b then keeps the
+    mass.  The fixed cells take the diagonally scaled gradient step
+    (nu - g) / Hii <= 0, which the projection takes back to 0.  Where the
+    step is not a finite descent direction (W*'' < 0 inside an interface
+    can make the restricted Hessian indefinite), the diagonal is shifted
+    by 4d, four times more at each retry."""
+    pos = x > 0.0
+    nu = gx[pos].mean()
+    free = pos | (gx < nu)
+    diag, off = kind.hessian_at(geometry, settings, model)
+    links = np.where(free[1:] & free[:-1], off, 0.0)
+    rhs = np.stack((np.where(free, gx, 0.0), free.astype(float)))
+    shift = 0.0
+    for _ in range(40):
+        with np.errstate(all="ignore"):
+            shifted = diag + shift
+            a, b = _tridiagonal_solve(links, np.where(free, shifted, 1.0), rhs)
+            delta = b * (a.sum() / b.sum()) - a
+            slope = float(gx @ delta)
+            delta = np.where(free, delta, (nu - gx) / shifted)
+        if slope < 0.0 and np.isfinite(delta).all():
+            return delta, slope
+        shift = 4.0 * shift if shift else 4.0 * settings.lam / x.size
+    return None, 0.0
+
+
+def _tridiagonal_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve T x = r for each row r of ``rhs`` (k rows of n values), T the
+    symmetric tridiagonal matrix with diagonal ``diag`` (n values) and
+    off-diagonal ``off`` (n - 1 values), by cyclic reduction.
+
+    The system is padded with identity rows to 2^m - 1 rows.  Each level
+    eliminates the even rows from the odd ones, which keeps the matrix
+    symmetric and halves it in a few whole-array operations; back
+    substitution then recovers the even rows level by level.  So a solve
+    costs O(log n) numpy calls, not the O(n) Python steps of the Thomas
+    algorithm.  There is no pivoting: T should be positive definite or
+    diagonally dominant, and a zero pivot gives values that are not
+    finite, which the caller checks."""
+    n = diag.size
+    size = (1 << n.bit_length()) - 1
+    b = np.ones(size)
+    b[:n] = diag
+    e = np.zeros(size + 1)  # e[i] couples rows i - 1 and i
+    e[1:n] = off
+    d = np.zeros((rhs.shape[0], size))
+    d[:, :n] = rhs
+    levels = []
+    while b.size > 1:
+        inv = 1.0 / b[::2]
+        left, right = e[::2] * inv, e[1::2] * inv
+        levels.append((inv, left, right, d[:, ::2]))
+        b = b[1::2] - e[1:-1:2] * right[:-1] - e[2::2] * left[1:]
+        d = d[:, 1::2] - right[:-1] * d[:, :-1:2] - left[1:] * d[:, 2::2]
+        e = -e[::2] * right
+    x = d / b
+    for inv, left, right, even in reversed(levels):
+        full = np.empty((x.shape[0], 2 * x.shape[1] + 1))
+        full[:, 1::2] = x
+        full[:, ::2] = even * inv
+        full[:, 2::2] -= left[1:] * x
+        full[:, :-2:2] -= right[:-1] * x
+        x = full
+    return x[:, :n]
 
 
 def _descend_all(
@@ -811,6 +978,10 @@ class _Functional(NamedTuple):
     field: type  # the class of the minimizer, where its values sit
     sharp_candidates: Callable  # (model, settings) -> [(label, sharp field)]
     transitions: Callable  # DiscreteField -> transition count
+    # (geometry, settings, model) -> (diagonal, off-diagonal) of a
+    # tridiagonal Hessian, for the Newton phase; None keeps the descent
+    # first-order.
+    hessian_at: Callable | None
 
 
 # Projections are looked up when called, so they can be replaced at
@@ -828,6 +999,7 @@ _FUNCTIONALS = {
             ("mollified-endB", PiecewiseConstantField(s.lam, (s.lam - 1.0,), (0.0, 1.0))),
         ],
         transitions=lambda f: transition_count_values(f.values),
+        hessian_at=lambda geo, s, model: _e_hessian_at(geo, s.epsilon, model),
     ),
     "V": _Functional(
         geometry=_v_geometry,
@@ -838,6 +1010,7 @@ _FUNCTIONALS = {
         field=DiscreteField,
         sharp_candidates=_sharp_neighbours,
         transitions=transition_count_slopes,
+        hessian_at=None,
     ),
 }
 

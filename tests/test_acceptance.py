@@ -107,6 +107,12 @@ def test_criterion_06_gamma_sweep_interfacial():
     assert abs(last.rescaled_energy - C_LJ) <= 0.10 * C_LJ
     assert last.transition_count == 1
     assert last.l1_distance_to_sharp <= prev.l1_distance_to_sharp
+    # Every row certified, at the converged discrete minima: E/epsilon
+    # depends on d/epsilon alone and lies 0.0225 (d/epsilon)^2 below C.
+    assert all(row.converged for row in report.rows)
+    converged = [0.3771231873, 0.3771218926, 0.3771167198, 0.3770959765]
+    for row, value in zip(report.rows, converged, strict=True):
+        assert abs(row.rescaled_energy - value) <= 1e-9, row.epsilon
     assert elapsed < 600.0
     _report(
         6,

@@ -698,3 +698,23 @@ def test_cli_config_bad_value_names_its_section_and_key(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == "error: [sweep] grid must be int, got 'abc'\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        pytest.param("[sweep]\ngird = 32\n", "[sweep]: ['gird']", id="sweep"),
+        pytest.param("[model]\nname = q\ncoeffs = 0 1 -2 1\ncoef = 1\n", "[model]: ['coef']", id="model"),
+    ],
+)
+def test_cli_config_rejects_a_typo_in_another_commands_section(tmp_path, capsys, text, key):
+    """Every section's keys are checked, not only the running command's:
+    a misspelt key in [sweep] or [model] fails ``sharp`` too."""
+    config = tmp_path / "run.ini"
+    config.write_text("[sharp]\nlambda = 1.5\nmu = 200\n" + text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sharp", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: unknown keys in {key}\n"
+    assert not out.exists()
+    config.write_text("[sharp]\nlambda = 1.5\nmu = 200\n[sweep]\ngrid = 32\n", encoding="utf-8")
+    assert main(["sharp", "--config", str(config), "--out", str(out)]) == 0

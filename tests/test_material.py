@@ -14,6 +14,7 @@ from fracture1d.material import (
     polynomial_model,
     resolve_model,
     surface_constant_quadrature,
+    validate_model,
 )
 
 C_LJ = 4.0 * math.sqrt(2.0) / 15.0
@@ -21,7 +22,8 @@ C_LJ = 4.0 * math.sqrt(2.0) / 15.0
 
 def zero_model():
     # Intentionally degenerate; bypasses registration on purpose.
-    return MaterialModel("zero", lambda h: 0.0 * np.asarray(h), lambda h: 0.0 * np.asarray(h), (0.25, 2.0))
+    zero = lambda h: 0.0 * np.asarray(h)
+    return MaterialModel("zero", zero, zero, zero, (0.25, 2.0))
 
 
 def test_lj_wells():
@@ -45,6 +47,17 @@ def test_lj_densities_are_bitwise_their_closed_forms():
     x = 0.3
     assert lj.wstar(x) == x * (1.0 - x) ** 2
     assert lj.wstar_prime(x) == (1.0 - x) * (1.0 - 3.0 * x)
+
+
+def test_lj_wstar_second_is_bitwise_six_h_minus_four():
+    lj = builtin_lj()
+    h = np.random.default_rng(7).uniform(-1.0, 3.0, 10001)
+    before = h.copy()
+    assert np.array_equal(lj.wstar_second(h), 6.0 * h - 4.0)
+    assert np.array_equal(h, before)
+    for value in (0.3, np.float64(0.3), np.array(0.3)):
+        assert type(lj.wstar_second(value)) is float
+    assert lj.wstar_second(0.3) == 6.0 * 0.3 - 4.0
 
 
 def test_lj_two_well_positivity():
@@ -77,7 +90,7 @@ def test_growth_check_fails_for_zero_model():
 
 def test_growth_check_fails_for_too_large_constant():
     lj = builtin_lj()
-    tight = MaterialModel("lj-tight", lj.wstar, lj.wstar_prime, (2.0, 2.0))
+    tight = MaterialModel("lj-tight", lj.wstar, lj.wstar_prime, lj.wstar_second, (2.0, 2.0))
     report = check_growth(tight, samples=150)
     assert not report.passed
     # At H = 2 the density is 2 while the claimed bound is 2 * 4.
@@ -155,6 +168,26 @@ def test_polynomial_model_reproduces_lj():
     h = np.linspace(0.0, 3.0, 301)
     assert np.max(np.abs(poly.wstar(h) - builtin_lj().wstar(h))) < 1e-12
     assert c_wstar(poly) == pytest.approx(C_LJ, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[0.0, 1.0, -2.0, 1.0], [0.0, 0.0, 2.0, -4.0, 2.0], [0.0, 0.5, 0.5, -2.0, 1.0]]
+)
+def test_polynomial_model_second_derivative_is_its_coefficients(coeffs):
+    poly = polynomial_model("poly", coeffs)
+    h = np.linspace(-0.5, 3.0, 351)
+    second = np.polynomial.polynomial.polyder(coeffs, 2)
+    assert np.array_equal(poly.wstar_second(h), np.polynomial.polynomial.polyval(h, second))
+    assert type(poly.wstar_second(0.25)) is float
+
+
+def test_validate_model_rejects_a_wstar_second_off_the_central_differences():
+    lj = builtin_lj()
+    validate_model(MaterialModel("good", lj.wstar, lj.wstar_prime, lambda h: 6.0 * h - 4.0, (0.25, 2.0)))
+    for wrong in (lambda h: 6.0 * h - 3.99, lambda h: 0.0 * h, lj.wstar_prime):
+        bad = MaterialModel("bad", lj.wstar, lj.wstar_prime, wrong, (0.25, 2.0))
+        with pytest.raises(ValueError, match="'bad': wstar_second disagrees with wstar_prime"):
+            validate_model(bad)
 
 
 def test_polynomial_model_rejects_missing_well():
@@ -246,7 +279,7 @@ def test_a_replaced_model_integrates_again(quadratures):
 
 def test_a_model_with_list_growth_constants_gets_its_constant(quadratures):
     lj = builtin_lj()
-    listed = MaterialModel("lj-list", lj.wstar, lj.wstar_prime, [0.25, 2.0])
+    listed = MaterialModel("lj-list", lj.wstar, lj.wstar_prime, lj.wstar_second, [0.25, 2.0])
     assert c_wstar(listed) == pytest.approx(C_LJ, abs=1e-10)
     assert c_wstar(listed) == c_wstar(listed)
     assert len(quadratures) == 1

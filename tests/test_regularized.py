@@ -27,7 +27,9 @@ from fracture1d.regularized import (
     _STEP_INIT,
     _STEP_MAX,
     _STEP_MIN,
+    _NEWTON_AFTER,
     _descend,
+    _tridiagonal_solve,
     _midpoints,
     _start_battery,
     eval_E_eps,
@@ -1290,6 +1292,35 @@ def test_bitwise_sweeps_on_every_cpu_are_the_one_cpu_sweeps(
     assert shared.metadata == serial.metadata
 
 
+def test_bitwise_newton_sweeps_on_every_cpu_are_the_one_cpu_sweeps(monkeypatch, forks):
+    """An E sweep whose cap lets descents reach the Newton phase: some
+    starts certify there and one hands the rest of its cap back to the
+    first-order loop.  Every row is converged, and every field of every
+    row is the one-CPU sweep's."""
+    settings = SolveSettings(lam=1.4, epsilon=1.0, grid_n=200, max_iterations=1500, multistart=1)
+    epsilons = (0.08, 0.04, 0.02, 0.01)
+    outcomes = []  # (iterations spent, converged) of each Newton phase in the caller
+    newton = regularized._newton
+
+    def recorded(*args):
+        out = newton(*args)
+        outcomes.append(out[4:])
+        return out
+
+    monkeypatch.setattr(regularized, "_newton", recorded)
+    _on_cpus(monkeypatch, 1)
+    serial = gamma_sweep_I(LJ, epsilons, settings)
+    assert any(converged for _, converged in outcomes)
+    assert any(not converged and taken < 1500 - _NEWTON_AFTER for taken, converged in outcomes)
+    assert all(row.converged for row in serial.rows)
+    _on_cpus(monkeypatch, 3)
+    shared = gamma_sweep_I(LJ, epsilons, settings)
+    _assert_workers_ended(forks, 3)
+    assert repr(shared.rows) == repr(serial.rows)
+    assert shared.rows == serial.rows
+    assert shared.metadata == serial.metadata
+
+
 @pytest.mark.parametrize(
     "epsilons, message",
     [
@@ -1378,6 +1409,84 @@ def test_minimize_is_bitwise_the_best_descent_of_the_battery():
     assert np.array_equal(result.minimizer.values, x)
     assert (result.energy, result.iterations, result.converged) == (fx, iterations, converged)
     assert result.energy_history == history
+
+
+def _blockwise_solve(off, diag, rhs):
+    """np.linalg.solve of the tridiagonal system, one dense solve per block
+    between zero off-diagonals, so that large systems stay small."""
+    bounds = [0, *(np.flatnonzero(off == 0.0) + 1), diag.size]
+    out = np.empty_like(rhs)
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = np.diag(diag[lo:hi]) + np.diag(off[lo : hi - 1], 1) + np.diag(off[lo : hi - 1], -1)
+        out[:, lo:hi] = np.linalg.solve(block, rhs[:, lo:hi].T).T
+    return out
+
+
+@pytest.mark.parametrize(
+    "n", [3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 100, 255, 256, 600, 1000, 1023, 1025, 4000, 4095, 5000]
+)
+def test_tridiagonal_solve_matches_numpy_solve(n):
+    """Cyclic reduction against LAPACK on symmetric diagonally dominant
+    systems of every size, 2^k - 1 or not, with zero off-diagonals where a
+    free set has gaps.  Above 600 rows a zero every 200 rows keeps the
+    dense blocks small."""
+    rng = np.random.default_rng(n)
+    off = rng.standard_normal(n - 1)
+    off[rng.random(n - 1) < 0.1] = 0.0
+    if n > 600:
+        off[199::200] = 0.0
+    coupling = np.abs(np.concatenate(([0.0], off))) + np.abs(np.concatenate((off, [0.0])))
+    diag = coupling * rng.uniform(1.0, 3.0, n) + rng.uniform(0.01, 1.0, n)
+    rhs = rng.standard_normal((2, n))
+    x = _tridiagonal_solve(off, diag, rhs)
+    reference = _blockwise_solve(off, diag, rhs) if n > 600 else np.linalg.solve(
+        np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), rhs.T
+    ).T
+    assert x.shape == rhs.shape
+    assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_tridiagonal_solve_matches_numpy_solve_on_the_E_hessian_of_a_free_set():
+    """The system a Newton step solves: E's Hessian at a mollified start,
+    restricted to a free set with gaps, for g_F and 1."""
+    settings = SolveSettings(lam=1.4, epsilon=0.02, grid_n=500)
+    kind = _FUNCTIONALS["E"]
+    _, x = _start_battery(kind, LJ, settings)[1]  # mollified-endA
+    geometry = kind.geometry(x, settings.lam)
+    diag, off = kind.hessian_at(geometry, settings, LJ)
+    g = kind.gradient_at(geometry, settings, LJ)
+    free = (x > 0.0) | (g < g[x > 0.0].mean())
+    free[[100, 101, 300]] = False
+    assert (~free).sum() > 3
+    links = np.where(free[1:] & free[:-1], off, 0.0)
+    rhs = np.stack((np.where(free, g, 0.0), free.astype(float)))
+    masked = np.where(free, diag, 1.0)
+    dense = np.diag(masked) + np.diag(links, 1) + np.diag(links, -1)
+    reference = np.linalg.solve(dense, rhs.T).T
+    x = _tridiagonal_solve(links, masked, rhs)
+    assert np.max(np.abs(x - reference)) <= 1e-9 * np.max(np.abs(reference))
+    assert np.all(x[:, ~free] == 0.0)
+
+
+def test_newton_phase_follows_the_first_order_iterations_and_certifies():
+    """An E descent is first-order for its first ``_NEWTON_AFTER``
+    iterations, bit for bit the descent capped there, and then certifies
+    in Newton steps well inside the cap: its energy never rises, every
+    iterate stays on the simplex, and the unit-step residual holds."""
+    settings = SolveSettings(lam=1.4, epsilon=0.04, grid_n=1000, multistart=0)
+    short = dataclasses.replace(settings, max_iterations=_NEWTON_AFTER)
+    kind = _FUNCTIONALS["E"]
+    d = settings.lam / settings.grid_n
+    for label, x0 in _start_battery(kind, LJ, settings)[1:]:
+        x, fx, iterations, converged, history = _descend(x0, kind, settings, LJ)
+        capped = _descend(x0, kind, short, LJ)
+        assert history[: _NEWTON_AFTER + 1] == capped[4], label
+        assert converged and _NEWTON_AFTER < iterations < 400, (label, iterations)
+        assert np.all(np.diff(history) <= 0.0)
+        assert np.all(x >= 0.0) and abs(d * x.sum() - 1.0) <= 1e-12
+        g = kind.gradient_at(kind.geometry(x, settings.lam), settings, LJ)
+        residual = np.linalg.norm(x - kind.project(x - g, settings.lam))
+        assert residual <= GTOL * (1.0 + np.linalg.norm(g))
 
 
 # ------------------------------------------------------------ battery on every CPU
