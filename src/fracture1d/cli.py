@@ -327,7 +327,9 @@ def _cmd_scan(merged, config) -> int:
 
 
 def _cmd_sweep(merged, config) -> int:
-    epsilons = [float(tok) for tok in merged["epsilons"].replace(",", " ").split()]
+    epsilons = [
+        _cast("sweep", "epsilons", float, tok) for tok in merged["epsilons"].replace(",", " ").split()
+    ]
     settings = _settings(merged)
     model = _model(merged, config)
     sweep = harness.gamma_sweep_I if merged["functional"] == "I" else harness.gamma_sweep_V

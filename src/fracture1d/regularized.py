@@ -7,11 +7,11 @@ slopes plus the foundation term.  Both functionals are minimized by
 projected gradient descent with Barzilai-Borwein steps safeguarded by
 backtracking along the projected direction; the one projection per
 iteration also certifies convergence.  E's Hessian is tridiagonal, so
-an E descent still running after ``_NEWTON_AFTER`` iterations goes on
-with projected Newton steps, one cyclic-reduction solve each, and hands
-the rest of its cap back to the first-order loop if they stall.  A
-descent stops when the stationarity test holds, at its iteration cap
-(both phases together), or when no step passes the line search.
+an E descent still running after ``_NEWTON_AFTER`` iterations ends in
+projected Newton steps, one cyclic-reduction solve each.  A descent
+stops when the stationarity test holds, at its iteration cap (both
+phases together), when no step passes the line search, or when its
+Newton steps stall.
 Exact projections (Michelot's active-set shift for the mass constraint,
 PAV for monotonicity) and convex combinations of feasible points keep
 every iterate feasible, so energies are meaningful throughout.  Each
@@ -600,9 +600,9 @@ _BACKTRACK = 0.5
 
 
 # After this many first-order iterations a descent whose functional has a
-# tridiagonal Hessian (E) takes projected Newton steps.  It hands the rest
-# of its cap back to the first-order loop when residual/tol has not halved
-# over a window of Newton steps.
+# tridiagonal Hessian (E) takes projected Newton steps until it ends.  It
+# ends unconverged, a stall, when residual/tol has not halved over a
+# window of Newton steps.
 _NEWTON_AFTER = 300
 _NEWTON_WINDOW = 50
 
@@ -611,18 +611,16 @@ def _descend(
     x0: np.ndarray, kind: _Functional, settings: SolveSettings, model: MaterialModel
 ) -> tuple[np.ndarray, float, int, bool, list[float]]:
     """Projected gradient descent on ``kind`` from x0, with a projected
-    Newton phase for E.  It has three exits: the stationarity test holds
-    (converged), the iteration cap is reached, or backtracking finds no
-    step of sufficient decrease.  Each energy evaluation builds its
-    point's geometry, and the gradient at an accepted point reads that
-    geometry, so no gradient builds one.
+    Newton phase for E.  It has four exits: the stationarity test holds
+    (converged), the iteration cap is reached, backtracking finds no step
+    of sufficient decrease, or the Newton phase stalls.  Each energy
+    evaluation builds its point's geometry, and the gradient at an
+    accepted point reads that geometry, so no gradient builds one.
 
     An E descent that has run ``_NEWTON_AFTER`` first-order iterations
-    without an exit goes on with ``_newton``.  Its steps count against the
-    same cap, and it ends the descent once the stationarity test holds.
-    If it stalls instead, the rest of the cap goes back to the
-    first-order loop, which restarts its step length from the last one
-    it took; Newton does not run twice.  V has no Newton phase."""
+    without an exit ends with ``_newton``, whose steps count against the
+    same cap: the descent stops where the phase stops, converged or not,
+    and no first-order iteration follows it.  V has no Newton phase."""
     lam = settings.lam
     x = kind.project(np.asarray(x0, dtype=float), lam)
     # epsilon^2 / d scales the differences: near its bound it overflows,
@@ -641,19 +639,14 @@ def _descend(
     step = _STEP_INIT
     converged = False
     iterations = 0
-    newton = kind.hessian_at is not None
     while iterations < settings.max_iterations:
-        if newton and iterations == _NEWTON_AFTER:
-            newton = False
-            x, fx, gx, geometry, taken, converged = _newton(
+        if iterations == _NEWTON_AFTER and kind.hessian_at is not None:
+            x, fx, taken, converged = _newton(
                 x, fx, gx, geometry, kind, settings, model,
                 settings.max_iterations - iterations, history,
             )
             iterations += taken
-            if converged:
-                break
-            x_prev = None
-            continue
+            break
         iterations += 1
         if x_prev is not None:
             s = x - x_prev
@@ -719,11 +712,11 @@ def _newton(x, fx, gx, geometry, kind, settings, model, budget, history):
     ``_newton_direction``, backtracking from t = 1 until the Armijo test
     f <= fx + _ARMIJO * t * slope holds, so the energy never rises.  The
     accepted energies join ``history``.  Returns the last accepted point
-    with its energy, gradient and geometry, the iterations spent and
-    whether the test held.  It stops early, unconverged, when residual/tol
-    has not halved over ``_NEWTON_WINDOW`` iterations or when no shift or
-    no step length gives a descent; the iteration that found this is not
-    spent."""
+    with its energy, the iterations spent and whether the test held.  It
+    stalls, a stop of its own that ends the descent unconverged, when
+    residual/tol has not halved over ``_NEWTON_WINDOW`` iterations or when
+    no shift or no step length gives a descent; the iteration that found
+    this is not spent."""
     lam = settings.lam
     mark = math.inf
     for taken in range(budget):
@@ -731,7 +724,7 @@ def _newton(x, fx, gx, geometry, kind, settings, model, budget, history):
         unit = x - kind.project(x - gx, lam)
         ratio = math.sqrt(unit @ unit) / tol
         if ratio <= 1.0:
-            return x, fx, gx, geometry, taken + 1, True
+            return x, fx, taken + 1, True
         if taken % _NEWTON_WINDOW == 0:
             if ratio > 0.5 * mark:
                 break
@@ -753,8 +746,8 @@ def _newton(x, fx, gx, geometry, kind, settings, model, budget, history):
         gx = kind.gradient_at(geometry, settings, model)
         history.append(fx)
     else:
-        return x, fx, gx, geometry, budget, False
-    return x, fx, gx, geometry, taken, False
+        return x, fx, budget, False
+    return x, fx, taken, False
 
 
 def _newton_direction(x, gx, geometry, kind, settings, model):

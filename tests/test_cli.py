@@ -700,6 +700,23 @@ def test_cli_config_bad_value_names_its_section_and_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_sweep_bad_epsilons_token_names_the_setting(tmp_path, capsys, source):
+    """A token of the ladder that is not a number names ``epsilons`` and
+    itself, whether it came from the flag or from [sweep]."""
+    args = ["sweep", "--functional", "I", "--lambda", "1.4", "--grid", "32"]
+    if source == "flag":
+        args += ["--epsilons", "0.1,abc"]
+    else:
+        config = tmp_path / "run.ini"
+        config.write_text("[sweep]\nepsilons = 0.1,abc\n", encoding="utf-8")
+        args += ["--config", str(config)]
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [sweep] epsilons must be float, got 'abc'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text, key",
     [

@@ -1294,9 +1294,9 @@ def test_bitwise_sweeps_on_every_cpu_are_the_one_cpu_sweeps(
 
 def test_bitwise_newton_sweeps_on_every_cpu_are_the_one_cpu_sweeps(monkeypatch, forks):
     """An E sweep whose cap lets descents reach the Newton phase: some
-    starts certify there and one hands the rest of its cap back to the
-    first-order loop.  Every row is converged, and every field of every
-    row is the one-CPU sweep's."""
+    starts certify there and one stalls, which ends its descent.  Every
+    row is converged, and every field of every row is the one-CPU
+    sweep's."""
     settings = SolveSettings(lam=1.4, epsilon=1.0, grid_n=200, max_iterations=1500, multistart=1)
     epsilons = (0.08, 0.04, 0.02, 0.01)
     outcomes = []  # (iterations spent, converged) of each Newton phase in the caller
@@ -1304,7 +1304,7 @@ def test_bitwise_newton_sweeps_on_every_cpu_are_the_one_cpu_sweeps(monkeypatch, 
 
     def recorded(*args):
         out = newton(*args)
-        outcomes.append(out[4:])
+        outcomes.append(out[2:])
         return out
 
     monkeypatch.setattr(regularized, "_newton", recorded)
@@ -1319,6 +1319,42 @@ def test_bitwise_newton_sweeps_on_every_cpu_are_the_one_cpu_sweeps(monkeypatch, 
     assert repr(shared.rows) == repr(serial.rows)
     assert shared.rows == serial.rows
     assert shared.metadata == serial.metadata
+
+
+def test_a_stalled_newton_phase_ends_its_descent(monkeypatch):
+    """The Newton sweep above on one CPU: a descent whose Newton phase
+    stalls stops there, unconverged and below the cap, after its
+    ``_NEWTON_AFTER`` first-order iterations and the phase's own, at the
+    phase's last point and energy, which ends its history."""
+    settings = SolveSettings(lam=1.4, epsilon=1.0, grid_n=200, max_iterations=1500, multistart=1)
+    epsilons = (0.08, 0.04, 0.02, 0.01)
+    phases, descents = [], []  # each Newton phase; each descent with its phase or None
+    newton, descend = regularized._newton, regularized._descend
+
+    def recorded_newton(*args):
+        out = newton(*args)
+        phases.append(out)
+        return out
+
+    def recorded_descend(*args):
+        before = len(phases)
+        out = descend(*args)
+        descents.append((phases[before] if len(phases) > before else None, out))
+        return out
+
+    monkeypatch.setattr(regularized, "_newton", recorded_newton)
+    monkeypatch.setattr(regularized, "_descend", recorded_descend)
+    _on_cpus(monkeypatch, 1)
+    gamma_sweep_I(LJ, epsilons, settings)
+    assert len(phases) == sum(phase is not None for phase, _ in descents)
+    stalled = [(phase, out) for phase, out in descents if phase is not None and not phase[-1]]
+    assert stalled
+    for phase, (x, fx, iterations, converged, history) in stalled:
+        taken = phase[-2]
+        assert iterations == _NEWTON_AFTER + taken < settings.max_iterations
+        assert not converged
+        assert np.array_equal(x, phase[0])
+        assert history[-1] == fx == phase[1]
 
 
 @pytest.mark.parametrize(
