@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -187,6 +188,11 @@ class SolveSettings:
             )
         if not 0.0 <= self.mu < np.inf:
             raise ValueError(f"mu must be nonnegative and finite, got {self.mu!r}")
+        for name in ("grid_n", "max_iterations", "multistart", "seed"):
+            try:
+                setattr(self, name, operator.index(getattr(self, name)))  # numpy's integers pass
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.grid_n < 16:
             raise ValueError("grid_n must be at least 16")
         if self.max_iterations < 1:
@@ -241,11 +247,6 @@ def grad_V_eps(
     return _v_grad_at(_v_geometry(h_field.values, lam), lam, epsilon, mu, model)
 
 
-# Each functional's energy and gradient read the same geometry of a point,
-# so a descent computes it once per energy evaluation and hands an
-# accepted point's geometry on to its gradient.
-
-
 def _e_geometry(values, lam):
     """Cell values, cell width and the differences of neighbouring cells:
     what the E energy and gradient share."""
@@ -283,9 +284,10 @@ def _v_geometry(values, lam):
     """E's cell geometry of the slopes H_j = (h_{j+1} - h_j) / d and the
     misfit at the cell midpoints: what the V energy and gradient share."""
     n = values.size - 1
-    cells = _e_geometry((values[1:] - values[:-1]) / (lam / n), lam)
+    d = lam / n
+    slopes = (values[1:] - values[:-1]) / d
     misfit = _midpoints(lam, n) - lam * 0.5 * (values[:-1] + values[1:])
-    return cells, misfit
+    return (slopes, d, slopes[1:] - slopes[:-1]), misfit
 
 
 def _v_energy_at(geometry, epsilon, mu, model) -> float:
@@ -351,7 +353,8 @@ def project_H(values: Sequence[float], lam: float) -> CellField:
 
 
 def isotonic_regression(y: Sequence[float]) -> np.ndarray:
-    """Least-squares fit under a nondecreasing constraint (PAV).
+    """Least-squares fit of a 1-d array under a nondecreasing constraint
+    (PAV); an array of any other dimension raises ValueError.
 
     Pool-adjacent-violators pushes one element at a time and pools the
     top block into the one below while the lower mean is the larger.
@@ -363,61 +366,51 @@ def isotonic_regression(y: Sequence[float]) -> np.ndarray:
     loop's, (M * C + m * c) / (C + c) with the lower block first, in the
     same order, so the result is bitwise that loop's.
 
-    The loop reads plain Python floats, since numpy scalars are too slow
-    here.  It reads them through a memoryview of the contiguous input,
-    which copies nothing, where a list would box every element up front.
+    The loop reads plain Python floats, one at a time, through a
+    memoryview of its own copy of ``y``, which it overwrites with the fit.
     """
-    y = np.ascontiguousarray(y, dtype=float)
-    out = y.copy()
-    drops = np.flatnonzero(y[:-1] > y[1:]).tolist()
-    if not drops:
-        return out
-    # A block's size is its weight.  Closed blocks stack left to right,
-    # each as (start, mean, size); below_end is where the top one ends.
-    ys = memoryview(y)
-    n = len(ys)
+    out = np.array(y, dtype=float)
+    if out.ndim != 1:
+        raise ValueError(f"isotonic regression needs a 1-d array, got {out.ndim} dimensions")
+    # A block's weight is its size, as a float.  Closed blocks stack left
+    # to right as (start, mean, weight, end); below_end is where the top one ends.
+    ys = memoryview(out)
     closed = []
     below_end = 0
-    j = 0  # the first element no block has reached
-    for k in drops:
-        if k < j:
+    for k in np.flatnonzero(out[:-1] > out[1:]).tolist():
+        if k < below_end:
             continue  # inside a pooled block, or the drop a block closed at
-        s, m, c = k + 1, ys[k + 1], 1
-        j = k + 2
+        s, m, c = k + 1, ys[k + 1], 1.0
         while True:
             # Pool back: unpooled elements come straight from the input.
             # pm ends as the mean below the open block.
             while s:
-                if s == below_end:
-                    _, pm, pc = closed[-1]
-                    if pm <= m:
-                        break
+                below = s == below_end
+                ps, pm, pc, _ = closed[-1] if below else (s - 1, ys[s - 1], 1.0, s)
+                if not pm > m:
+                    break
+                if below:
                     closed.pop()
-                    below_end = closed[-1][0] + closed[-1][2] if closed else 0
-                else:
-                    pm = ys[s - 1]
-                    if pm <= m:
-                        break
-                    pc = 1
+                    below_end = closed[-1][3] if closed else 0
                 m = (pm * pc + m * c) / (pc + c)
                 c += pc
-                s -= pc
+                s = ps
             else:
-                pm = -np.inf
+                pm = -math.inf
             # Absorb forward (y * 1 is y, so that merge needs no product)
             # until the block closes or its mean falls below pm.
-            while j < n and m > ys[j]:
-                m = (m * c + ys[j]) / (c + 1)
-                c += 1
-                j += 1
+            for v in ys[s + int(c):]:
+                if not m > v:
+                    break
+                m = (m * c + v) / (c := c + 1.0)  # the product reads the old c
                 if pm > m:
                     break
-            else:
+            if not pm > m:
                 break
-        closed.append((s, m, c))
-        below_end = j
-    for s, m, c in closed:
-        out[s : s + c] = m
+        below_end = s + int(c)
+        closed.append((s, m, c, below_end))
+    for s, m, _, end in closed:
+        out[s:end] = m
     return out
 
 
@@ -428,12 +421,19 @@ def project_h(values: Sequence[float], lam: float) -> DiscreteField:
     clipped to [0, 1].  It is the limit of PAV over all nodes with end
     weights growing without bound: an interior block pooled into a fixed
     end takes that end's value, and clipping gives every block that would
-    have pooled into it the same value.  The result is a new array,
-    never a view of ``values``.
+    have pooled into it the same value.  The end values are replaced.  As
+    in ``project_H``, a bad domain length or value count, or a NaN or +inf
+    among the other values, raises ``DiscreteField``'s ValueError, and a
+    -inf projects to 0.  The result is a new array, never a view of ``values``.
     """
-    out = np.array(values, dtype=float)
+    raw = np.asarray(values, dtype=float)
+    _check_grid(lam, raw)
+    fit = isotonic_regression(raw[1:-1])
+    if fit[-1] == math.inf:  # a +inf ends the fit, and the clip would hide it
+        raise ValueError("field values must be finite")
+    out = np.empty(raw.size)
     out[0], out[-1] = 0.0, 1.0
-    np.clip(isotonic_regression(out[1:-1]), 0.0, 1.0, out=out[1:-1])
+    np.clip(fit, 0.0, 1.0, out=out[1:-1])
     return DiscreteField._adopt(lam, out)
 
 

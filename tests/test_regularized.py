@@ -482,7 +482,7 @@ def _assert_pav_bitwise(y):
     mine = isotonic_regression(y)
     oracle = _isotonic_regression_oracle(y)
     assert mine.dtype == oracle.dtype
-    assert np.array_equal(mine, oracle)
+    assert np.array_equal(mine, oracle, equal_nan=True)
 
 
 def test_isotonic_regression_is_bitwise_the_reference_loop_on_random_input():
@@ -509,6 +509,29 @@ def test_isotonic_regression_is_bitwise_the_reference_loop_on_the_V_descent():
         _assert_pav_bitwise(y)
 
 
+def test_isotonic_regression_is_bitwise_the_reference_loop_on_the_V_plateaus():
+    """Iterations 200-300 of two V descents on sweep-V's grid (N 1000,
+    epsilon 0.02).  There every fit pools the crack plateaus, some 270
+    elements from mollified-A4 and 415 from random-0: each block absorbs
+    its elements forward and pools back into the blocks below it."""
+    settings = SolveSettings(lam=1.5, epsilon=0.02, mu=200.0, grid_n=1000, max_iterations=300)
+    kind = _FUNCTIONALS["V"]
+    starts = dict(_start_battery(kind, LJ, settings))
+    for label in ("mollified-A4", "random-0"):
+        interiors = []
+
+        def project(v, lam):
+            interiors.append(v[1:-1].copy())
+            return kind.project(v, lam)
+
+        _descend(starts[label], kind._replace(project=project), settings, LJ)
+        # One projection of the start, then one per iteration.
+        assert len(interiors) == 301
+        for y in interiors[200:]:
+            _assert_pav_bitwise(y)
+            assert np.sum(isotonic_regression(y) != y) > 200
+
+
 def test_isotonic_regression_is_bitwise_the_reference_loop_on_ties():
     rng = np.random.default_rng(43)
     for n in (2, 7, 64, 500, 2000):
@@ -521,6 +544,10 @@ def test_isotonic_regression_is_bitwise_the_reference_loop_on_ties():
     # into an element or a closed block, changes the bits.
     _assert_pav_bitwise(np.array([1.0, 0.0, 0.5, 0.75, 0.25, 0.2, 0.9]))
     _assert_pav_bitwise(np.array([3, 5, 1, 8, 2, 6, 4, 5, 3, 4]) / 10 * 0.3)
+    # A NaN compares false both ways, so the reference pools nothing into
+    # it: pooling back stops unless pm > m, which pm <= m does not mirror.
+    _assert_pav_bitwise(np.array([math.nan, 1.0, 0.5]))
+    _assert_pav_bitwise(np.array([0.5, 2.0, 1.0, math.nan, 0.2, 0.1]))
 
 
 def test_isotonic_regression_is_bitwise_the_reference_loop_on_ramps():
@@ -542,6 +569,23 @@ def test_isotonic_regression_of_a_nondecreasing_input_is_a_copy(n):
     assert out is not y
     assert out.dtype == np.float64
     assert np.array_equal(out, y)
+
+
+@pytest.mark.parametrize(
+    "y",
+    [
+        # Its rows do not drop, so it came back unchanged and not monotone.
+        np.array([[3.0, 4.0], [1.0, 2.0]]).T,
+        # Its rows drop, so the memoryview raised NotImplementedError.
+        np.array([[4.0, 3.0], [1.0, 2.0]]),
+        # A single value came back as an array of one element.
+        np.float64(0.5),
+    ],
+    ids=["2d-without-a-row-drop", "2d", "0d"],
+)
+def test_isotonic_regression_rejects_an_array_that_is_not_one_dimensional(y):
+    with pytest.raises(ValueError, match="1-d"):
+        isotonic_regression(y)
 
 
 def test_project_h_is_bitwise_the_pinned_end_projection():
@@ -698,6 +742,21 @@ def test_a_warm_start_of_nans_raises_from_E_as_from_V():
     for functional, size in (("E", 64), ("V", 65)):
         with pytest.raises(ValueError, match="field values must be finite"):
             minimize(functional, LJ, [settings], np.full(size, math.nan))
+
+
+def test_a_warm_start_with_an_infinite_value_raises_from_V_as_from_E():
+    """A +inf is the last element of V's nondecreasing interior fit, which
+    the clip to [0, 1] would turn into 1; project_h raises instead.  A
+    -inf still projects to 0, as in project_H."""
+    settings = SolveSettings(lam=1.4, epsilon=0.05, grid_n=64, max_iterations=5, multistart=0)
+    for functional, size in (("E", 64), ("V", 65)):
+        warm = np.linspace(0.0, 1.0, size)
+        warm[size // 2] = math.inf
+        with pytest.raises(ValueError, match="field values must be finite"):
+            minimize(functional, LJ, [settings], warm)
+    with pytest.raises(ValueError, match="field values must be finite"):
+        project_h([0.0, math.inf, 0.5, 1.0], 1.0)
+    assert np.array_equal(project_h([0.0, -math.inf, 0.5, 1.0], 1.0).values, [0.0, 0.0, 0.5, 1.0])
 
 
 def test_project_H_rejects_nonpositive_domain():
@@ -1094,6 +1153,8 @@ def test_descend_is_bitwise_the_reference_when_it_converges():
     [
         ("E", SolveSettings(lam=1.4, epsilon=0.05, grid_n=300, max_iterations=60)),
         ("V", SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=200, max_iterations=60)),
+        # sweep-V's grid, where PAV pools the crack plateaus on every call.
+        ("V", SolveSettings(lam=1.5, epsilon=0.02, mu=200.0, grid_n=1000, max_iterations=300)),
     ],
 )
 def test_descend_is_bitwise_the_reference_at_the_iteration_cap(functional, settings):
@@ -1761,6 +1822,18 @@ def test_settings_validation():
             with pytest.raises(ValueError, match=key):
                 SolveSettings(**{"lam": 1.0, "epsilon": 0.1, key: bad})
     assert SolveSettings(lam=1.0, epsilon=0.1, multistart=0).multistart == 0
+    # Counts must be integers: grid_n 32.5 solved on 33 cells and
+    # max_iterations 5.5 ran 6 iterations; multistart and seed 1.5 raised
+    # TypeError inside numpy.
+    for key in ("grid_n", "max_iterations", "multistart", "seed"):
+        for bad in (32.5, 5.5, 1.5, 32.0, "32", None):
+            with pytest.raises(ValueError, match=key):
+                SolveSettings(**{"lam": 1.0, "epsilon": 0.1, key: bad})
+    settings = SolveSettings(
+        lam=1.0, epsilon=0.1, grid_n=np.int64(32), max_iterations=np.int32(5),
+        multistart=np.uint8(1), seed=np.int16(3),
+    )
+    assert (settings.grid_n, settings.max_iterations, settings.multistart, settings.seed) == (32, 5, 1, 3)
 
 
 def test_discrete_field_validation():
