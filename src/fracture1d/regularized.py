@@ -11,7 +11,9 @@ an E descent still running after ``_NEWTON_AFTER`` first-order
 iterations, which pick its basin, ends in projected Newton steps, one
 cyclic-reduction solve each.  A descent stops when the stationarity test
 holds, at its iteration cap (both phases together), when no step passes
-the line search, or when its Newton steps stall.
+the line search, or when its Newton steps stall: residual/tol has not
+halved over a window of steps, or over a shorter run of steps that each
+needed a diagonal shift.
 Exact projections (Michelot's active-set shift for the mass constraint,
 PAV for monotonicity) and convex combinations of feasible points keep
 every iterate feasible, so energies are meaningful throughout.  Each
@@ -423,11 +425,13 @@ def project_h(values: Sequence[float], lam: float) -> DiscreteField:
     end takes that end's value, and clipping gives every block that would
     have pooled into it the same value.  The end values are replaced.  As
     in ``project_H``, a bad domain length or value count, or a NaN or +inf
-    among the other values, raises ``DiscreteField``'s ValueError, and a
-    -inf projects to 0.  The result is a new array, never a view of ``values``.
+    anywhere, the ends included, raises ``DiscreteField``'s ValueError, and
+    a -inf projects to 0.  The result is a new array, never a view of ``values``.
     """
     raw = np.asarray(values, dtype=float)
     _check_grid(lam, raw)
+    if not (raw[0] < math.inf and raw[-1] < math.inf):  # the ends are not read below
+        raise ValueError("field values must be finite")
     fit = isotonic_regression(raw[1:-1])
     if fit[-1] == math.inf:  # a +inf ends the fit, and the clip would hide it
         raise ValueError("field values must be finite")
@@ -604,9 +608,11 @@ _BACKTRACK = 0.5
 # ends unconverged, a stall, when residual/tol has not halved over a
 # window of Newton steps.  The first-order iterations pick the basin: over
 # 192 E rows a prefix of 40 kept every certified minimum, 30 lost two, and
-# a window of 25 or 30 stalls criterion 6's epsilon 0.08 row.
+# a window of 25 or 30 stalls criterion 6's epsilon 0.08 row.  A run of
+# shifted steps stalls sooner, when it has not halved residual/tol.
 _NEWTON_AFTER = 50
 _NEWTON_WINDOW = 50
+_SHIFTED_WINDOW = 15
 
 
 def _descend(
@@ -716,11 +722,14 @@ def _newton(x, fx, gx, geometry, kind, settings, model, budget, history):
     accepted energies join ``history``.  Returns the last accepted point
     with its energy, the iterations spent and whether the test held.  It
     stalls, a stop of its own that ends the descent unconverged, when
-    residual/tol has not halved over ``_NEWTON_WINDOW`` iterations or when
-    no shift or no step length gives a descent; the iteration that found
-    this is not spent."""
+    residual/tol has not halved over ``_NEWTON_WINDOW`` iterations, when
+    it has not halved over the last ``_SHIFTED_WINDOW`` iterations and
+    each of their directions needed a shift (a slide along a soft mode,
+    two or more solves a step), or when no shift or no step length gives
+    a descent; the iteration that found this is not spent."""
     lam = settings.lam
     mark = math.inf
+    run = []  # residual/tol before each direction of the last run of shifted ones
     for taken in range(budget):
         tol = GTOL * (1.0 + math.sqrt(gx @ gx))
         unit = x - kind.project(x - gx, lam)
@@ -731,9 +740,15 @@ def _newton(x, fx, gx, geometry, kind, settings, model, budget, history):
             if ratio > 0.5 * mark:
                 break
             mark = ratio
-        delta, slope = _newton_direction(x, gx, geometry, kind, settings, model)
+        if len(run) >= _SHIFTED_WINDOW and ratio > 0.5 * run[-_SHIFTED_WINDOW]:
+            break
+        delta, slope, shifted = _newton_direction(x, gx, geometry, kind, settings, model)
         if delta is None:
             break
+        if shifted:
+            run.append(ratio)
+        else:
+            run.clear()
         t = 1.0
         for _ in range(40):
             xn = kind.project(x + t * delta, lam)
@@ -753,8 +768,9 @@ def _newton(x, fx, gx, geometry, kind, settings, model, budget, history):
 
 
 def _newton_direction(x, gx, geometry, kind, settings, model):
-    """The projected Newton direction at x and its slope g . delta < 0,
-    or (None, 0.0) when no shift gives a finite descent direction.
+    """The projected Newton direction at x, its slope g . delta < 0 and
+    whether the diagonal needed a shift, or (None, 0.0, True) when no
+    shift gives a finite descent direction.
 
     nu, the mean gradient over the positive cells, estimates the mass
     multiplier.  The free set F holds the cells with H > 0 or g < nu;
@@ -782,9 +798,9 @@ def _newton_direction(x, gx, geometry, kind, settings, model):
             slope = float(gx @ delta)
             delta = np.where(free, delta, (nu - gx) / shifted)
         if slope < 0.0 and np.isfinite(delta).all():
-            return delta, slope
+            return delta, slope, shift > 0.0
         shift = 4.0 * shift if shift else 4.0 * settings.lam / x.size
-    return None, 0.0
+    return None, 0.0, True
 
 
 def _tridiagonal_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -28,6 +28,8 @@ from fracture1d.regularized import (
     _STEP_MAX,
     _STEP_MIN,
     _NEWTON_AFTER,
+    _NEWTON_WINDOW,
+    _SHIFTED_WINDOW,
     _descend,
     _tridiagonal_solve,
     _midpoints,
@@ -759,6 +761,26 @@ def test_a_warm_start_with_an_infinite_value_raises_from_V_as_from_E():
     assert np.array_equal(project_h([0.0, -math.inf, 0.5, 1.0], 1.0).values, [0.0, 0.0, 0.5, 1.0])
 
 
+@pytest.mark.parametrize("end", [0, -1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_warm_start_with_a_nan_or_infinite_end_raises_from_V_as_from_E(bad, end):
+    """project_h replaces V's end values without reading them into the
+    fit, so it tests them itself: a NaN or +inf there raises, as anywhere
+    in E's warm start.  A -inf end still projects, as inside."""
+    settings = SolveSettings(lam=1.4, epsilon=0.05, grid_n=64, max_iterations=5, multistart=0)
+    for functional, size in (("E", 64), ("V", 65)):
+        warm = np.linspace(0.0, 1.0, size)
+        warm[end] = bad
+        with pytest.raises(ValueError, match="field values must be finite"):
+            minimize(functional, LJ, [settings], warm)
+    raw = [0.0, 0.5, 1.0]
+    raw[end] = bad
+    with pytest.raises(ValueError, match="field values must be finite"):
+        project_h(raw, 1.0)
+    raw[end] = -math.inf
+    assert np.array_equal(project_h(raw, 1.0).values, [0.0, 0.5, 1.0])
+
+
 def test_project_H_rejects_nonpositive_domain():
     with pytest.raises(ValueError, match="domain length"):
         project_H(np.ones(5), 0.0)
@@ -1422,6 +1444,69 @@ def test_a_stalled_newton_phase_ends_its_descent(monkeypatch):
         assert not converged
         assert np.array_equal(x, phase[0])
         assert history[-1] == fx == phase[1]
+
+
+def test_a_shifted_newton_run_that_does_not_halve_its_residual_ends_the_descent(monkeypatch):
+    """The Newton sweep above on one CPU: once the last ``_SHIFTED_WINDOW``
+    directions of a Newton phase all needed a diagonal shift, the phase
+    stalls where residual/tol has not halved over them, before the next
+    direction and between two checks of the ``_NEWTON_WINDOW`` test.  The
+    descent stops there, unconverged, after its ``_NEWTON_AFTER``
+    first-order iterations and the phase's own, at the phase's last point.
+    No earlier point of the phase met the test."""
+    settings = SolveSettings(lam=1.4, epsilon=1.0, grid_n=200, max_iterations=1500, multistart=1)
+    epsilons = (0.08, 0.04, 0.02, 0.01)
+    phases, descents = [], []  # each Newton phase with its directions; each descent with its phase
+    newton, direction, descend = regularized._newton, regularized._newton_direction, regularized._descend
+
+    def ratio(x, gx, kind, settings):
+        unit = x - kind.project(x - gx, settings.lam)
+        return math.sqrt(unit @ unit) / (GTOL * (1.0 + math.sqrt(gx @ gx)))
+
+    def recorded_direction(x, gx, geometry, kind, settings, model):
+        out = direction(x, gx, geometry, kind, settings, model)
+        phases[-1][1].append((ratio(x, gx, kind, settings), out[2]))
+        return out
+
+    def recorded_newton(x, fx, gx, geometry, kind, settings, model, *rest):
+        phases.append([None, []])
+        out = newton(x, fx, gx, geometry, kind, settings, model, *rest)
+        gx = kind.gradient_at(kind.geometry(out[0], settings.lam), settings, model)
+        phases[-1][0] = (out, ratio(out[0], gx, kind, settings))
+        return out
+
+    def recorded_descend(*args):
+        before = len(phases)
+        out = descend(*args)
+        descents.append((phases[before] if len(phases) > before else None, out))
+        return out
+
+    monkeypatch.setattr(regularized, "_newton", recorded_newton)
+    monkeypatch.setattr(regularized, "_newton_direction", recorded_direction)
+    monkeypatch.setattr(regularized, "_descend", recorded_descend)
+    _on_cpus(monkeypatch, 1)
+    gamma_sweep_I(LJ, epsilons, settings)
+    k = _SHIFTED_WINDOW
+
+    def meets_the_test(steps, ratio_now):
+        return len(steps) >= k and all(s for _, s in steps[-k:]) and ratio_now > 0.5 * steps[-k][0]
+
+    stalled = []
+    for phase, (x, fx, iterations, converged, history) in descents:
+        if phase is None:
+            continue
+        (px, pfx, taken, pconverged), last_ratio = phase[0]
+        steps = phase[1]
+        if pconverged or taken % _NEWTON_WINDOW == 0 or not meets_the_test(steps, last_ratio):
+            continue
+        stalled.append(taken)
+        assert len(steps) == taken
+        assert not any(meets_the_test(steps[:j], steps[j][0]) for j in range(taken))
+        assert iterations == _NEWTON_AFTER + taken < settings.max_iterations
+        assert not converged
+        assert np.array_equal(x, px)
+        assert history[-1] == fx == pfx
+    assert stalled
 
 
 @pytest.mark.parametrize(
