@@ -8,12 +8,13 @@ projected gradient descent with Barzilai-Borwein steps safeguarded by
 backtracking along the projected direction; the one projection per
 iteration also certifies convergence.  E's Hessian is tridiagonal, so
 an E descent still running after ``_NEWTON_AFTER`` first-order
-iterations, which pick its basin, ends in projected Newton steps, one
-cyclic-reduction solve each.  A descent stops when the stationarity test
-holds, at its iteration cap (both phases together), when no step passes
-the line search, or when its Newton steps stall: residual/tol has not
-halved over a window of steps, or over a shorter run of steps that each
-needed a diagonal shift.
+iterations, which pick its basin, goes on in the same loop with
+projected Newton steps, one cyclic-reduction solve each.  A descent
+stops when the stationarity test holds, at its iteration cap (both kinds
+of iteration together), when no step passes the line search, or when its
+Newton steps stall: no diagonal shift gives a descent direction, or
+residual/tol has not halved over a window of steps, or over a shorter
+run of steps that each needed a diagonal shift.
 Exact projections (Michelot's active-set shift for the mass constraint,
 PAV for monotonicity) and convex combinations of feasible points keep
 every iterate feasible, so energies are meaningful throughout.  Each
@@ -453,6 +454,8 @@ def transition_count_slopes(h_field: DiscreteField) -> int:
 
 def phi_interpolator(model: MaterialModel, s_max: float = 3.0):
     """Antiderivative of sqrt(2*wstar) on [0, s_max] as a vectorized map."""
+    if not 0.0 < s_max < np.inf:
+        raise ValueError(f"s_max must be positive and finite, got {s_max!r}")
     grid = np.linspace(0.0, s_max, 8193)
     f = np.sqrt(np.maximum(2.0 * model.wstar(grid), 0.0))
     phi = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(grid))))
@@ -482,6 +485,8 @@ def transition_profile(model: MaterialModel, epsilon: float) -> tuple[np.ndarray
     (offsets, q) with the offset origin at q = 1/2, padded so
     interpolation clamps to exactly 0 and 1 outside the truncated core.
     """
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     delta, samples = 1e-4, 4001
     u = np.linspace(0.0, 1.0, samples)
     q = delta + (1.0 - 2.0 * delta) * (3.0 * u**2 - 2.0 * u**3)
@@ -533,8 +538,8 @@ def mollify_sharp_candidate(
     the cell midpoints, a ``CellField`` for a step field.  A smoothed
     slope is integrated up to nodes and rescaled so the ends survive.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     lam = sharp_field.domain_length
     mids = _midpoints(lam, grid_n)
     if isinstance(sharp_field, PiecewiseConstantField):
@@ -618,45 +623,58 @@ _SHIFTED_WINDOW = 15
 def _descend(
     x0: np.ndarray, kind: _Functional, settings: SolveSettings, model: MaterialModel
 ) -> tuple[np.ndarray, float, int, bool, list[float]]:
-    """Projected gradient descent on ``kind`` from x0, with a projected
-    Newton phase for E.  It has four exits: the stationarity test holds
-    (converged), the iteration cap is reached, backtracking finds no step
-    of sufficient decrease, or the Newton phase stalls.  Each energy
-    evaluation builds its point's geometry, and the gradient at an
+    """Projected descent on ``kind`` from x0: Barzilai-Borwein steps, and
+    for E projected Newton steps (Bertsekas, SIAM J. Control Optim. 20,
+    1982) once it has run ``_NEWTON_AFTER`` first-order iterations.  Each
+    energy evaluation builds its point's geometry, and the gradient at an
     accepted point reads that geometry, so no gradient builds one.
 
-    An E descent that has run ``_NEWTON_AFTER`` first-order iterations
-    without an exit ends with ``_newton``, whose steps count against the
-    same cap: the descent stops where the phase stops, converged or not,
-    and no first-order iteration follows it.  V has no Newton phase."""
+    Both kinds of iteration share the stationarity test, the cap, the
+    accept-and-update step and ``history``.  A Newton iteration tests with
+    the unit step, then steps along the projected arc P(x + t delta) from
+    ``_newton_direction``, backtracking from t = 1 until the Armijo test
+    f <= fx + _ARMIJO * t * slope holds, so the energy never rises.  The
+    descent has six exits:
+
+    - gtol: the stationarity test holds (converged);
+    - cap: ``settings.max_iterations`` iterations, both kinds together;
+    - no step: backtracking finds no step of sufficient decrease;
+    - no direction: no diagonal shift gives a Newton descent direction;
+    - window stall: residual/tol has not halved over ``_NEWTON_WINDOW``
+      Newton iterations;
+    - shifted stall: it has not halved over the last ``_SHIFTED_WINDOW``
+      Newton iterations, each of whose directions needed a shift (a slide
+      along a soft mode, two or more solves a step).
+
+    An iteration counts when it certifies or steps, and a first-order one
+    also when its line search fails; a Newton iteration that stalls or
+    finds no direction or step is not spent."""
     lam = settings.lam
     x = kind.project(np.asarray(x0, dtype=float), lam)
-    # epsilon^2 / d scales the differences: near its bound it overflows,
-    # and an infinite ||g|| would pass the stationarity test at once.
+    # epsilon^2 / d scales the differences and W*(1/lambda) sets the homogeneous
+    # energy: near their bounds they overflow, and an infinite ||g|| would
+    # pass the stationarity test at once.
     with np.errstate(over="ignore", invalid="ignore"):
         geometry = kind.geometry(x, lam)
         fx = kind.energy_at(geometry, settings, model)
         gx = kind.gradient_at(geometry, settings, model)
         if not (np.isfinite(fx) and np.isfinite(np.linalg.norm(gx))):
             raise ValueError(
-                f"epsilon {settings.epsilon!r} makes the energy or gradient of a "
-                f"start on {settings.grid_n} cells overflow"
+                f"lambda {lam!r} and epsilon {settings.epsilon!r} make the energy or "
+                f"gradient of a start on {settings.grid_n} cells overflow"
             )
     history = [fx]
     x_prev = g_prev = None
     step = _STEP_INIT
     converged = False
     iterations = 0
+    mark = math.inf
+    run = []  # residual/tol before each direction of the last run of shifted ones
     while iterations < settings.max_iterations:
-        if iterations == _NEWTON_AFTER and kind.hessian_at is not None:
-            x, fx, taken, converged = _newton(
-                x, fx, gx, geometry, kind, settings, model,
-                settings.max_iterations - iterations, history,
-            )
-            iterations += taken
-            break
-        iterations += 1
-        if x_prev is not None:
+        newton = kind.hessian_at is not None and iterations >= _NEWTON_AFTER
+        if newton:
+            step = 1.0
+        elif x_prev is not None:
             s = x - x_prev
             yv = gx - g_prev
             sy = float(s @ yv)
@@ -674,97 +692,67 @@ def _descend(
         # np.linalg.norm's arithmetic for a 1-d float array.  The bound holds
         # in exact arithmetic only: with a tiny step, x - step * g rounds
         # back to x and r(step) reads 0.  So a pass with step < 1 is
-        # confirmed once with the unit-step residual itself.
+        # confirmed once with the unit-step residual itself.  A Newton
+        # iteration takes step 1, so its first trial is the unit step.
         tol = GTOL * (1.0 + math.sqrt(gx @ gx))
         back = first = x - xn
-        if math.sqrt(first @ first) / min(step, 1.0) <= tol:
+        residual = math.sqrt(first @ first)
+        if residual / min(step, 1.0) <= tol:
             unit = first if step >= 1.0 else x - kind.project(x - gx, lam)
             if math.sqrt(unit @ unit) <= tol:
+                iterations += 1
                 converged = True
                 break
-        # Backtrack along the projected direction d = P(x - step g) - x
-        # (Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000): x + t d is
-        # feasible for t in (0, 1] by convexity, so no trial but the first
-        # needs a projection.  d is -first exactly, so x - t * first is
-        # x + t * d to the bit.
+        if newton:
+            ratio = residual / tol
+            if (iterations - _NEWTON_AFTER) % _NEWTON_WINDOW == 0:
+                if ratio > 0.5 * mark:
+                    break
+                mark = ratio
+            if len(run) >= _SHIFTED_WINDOW and ratio > 0.5 * run[-_SHIFTED_WINDOW]:
+                break
+            delta, slope, shifted = _newton_direction(x, gx, geometry, kind, settings, model)
+            if delta is None:
+                break
+            if shifted:
+                run.append(ratio)
+            else:
+                run.clear()
+        # Backtrack.  A first-order iteration goes along the projected
+        # direction d = P(x - step g) - x (Birgin, Martinez & Raydan, SIAM
+        # J. Optim. 10, 2000): x + t d is feasible for t in (0, 1] by
+        # convexity, so no trial but the first needs a projection, and d is
+        # -first exactly, so x - t * first is x + t * d to the bit.  A
+        # Newton iteration projects each trial on its arc; with step 1 its
+        # t never falls below _STEP_MIN within the 40 trials.
         t = 1.0
         accepted = False
         for attempt in range(40):
-            if attempt:
-                xn = x - t * first
-                back = x - xn
+            if newton:
+                xn = kind.project(x + t * delta, lam)
+                bound = fx + _ARMIJO * t * slope
+            else:
+                if attempt:
+                    xn = x - t * first
+                    back = x - xn
+                bound = fx - _ARMIJO * float(gx @ back)
             geometry = kind.geometry(xn, lam)
             fn = kind.energy_at(geometry, settings, model)
-            if fn <= fx - _ARMIJO * float(gx @ back):
+            if fn <= bound:
                 accepted = True
                 break
             t *= _BACKTRACK
             if step * t < _STEP_MIN:
                 break
         if not accepted:
+            iterations += not newton
             break  # no admissible descent step left at this precision
+        iterations += 1
         x_prev, g_prev = x, gx
         x, fx = xn, fn
         gx = kind.gradient_at(geometry, settings, model)
         history.append(fx)
     return x, fx, iterations, converged, history
-
-
-def _newton(x, fx, gx, geometry, kind, settings, model, budget, history):
-    """Projected Newton steps (Bertsekas, SIAM J. Control Optim. 20, 1982)
-    on the simplex from an accepted point, at most ``budget`` iterations.
-
-    Each iteration first applies the stationarity test
-    ||x - P(x - g)|| <= GTOL (1 + ||g||) with the unit step itself.  It
-    then steps along the projected arc P(x + t delta) from
-    ``_newton_direction``, backtracking from t = 1 until the Armijo test
-    f <= fx + _ARMIJO * t * slope holds, so the energy never rises.  The
-    accepted energies join ``history``.  Returns the last accepted point
-    with its energy, the iterations spent and whether the test held.  It
-    stalls, a stop of its own that ends the descent unconverged, when
-    residual/tol has not halved over ``_NEWTON_WINDOW`` iterations, when
-    it has not halved over the last ``_SHIFTED_WINDOW`` iterations and
-    each of their directions needed a shift (a slide along a soft mode,
-    two or more solves a step), or when no shift or no step length gives
-    a descent; the iteration that found this is not spent."""
-    lam = settings.lam
-    mark = math.inf
-    run = []  # residual/tol before each direction of the last run of shifted ones
-    for taken in range(budget):
-        tol = GTOL * (1.0 + math.sqrt(gx @ gx))
-        unit = x - kind.project(x - gx, lam)
-        ratio = math.sqrt(unit @ unit) / tol
-        if ratio <= 1.0:
-            return x, fx, taken + 1, True
-        if taken % _NEWTON_WINDOW == 0:
-            if ratio > 0.5 * mark:
-                break
-            mark = ratio
-        if len(run) >= _SHIFTED_WINDOW and ratio > 0.5 * run[-_SHIFTED_WINDOW]:
-            break
-        delta, slope, shifted = _newton_direction(x, gx, geometry, kind, settings, model)
-        if delta is None:
-            break
-        if shifted:
-            run.append(ratio)
-        else:
-            run.clear()
-        t = 1.0
-        for _ in range(40):
-            xn = kind.project(x + t * delta, lam)
-            trial = kind.geometry(xn, lam)
-            fn = kind.energy_at(trial, settings, model)
-            if fn <= fx + _ARMIJO * t * slope:
-                break
-            t *= _BACKTRACK
-        else:
-            break
-        x, fx, geometry = xn, fn, trial
-        gx = kind.gradient_at(geometry, settings, model)
-        history.append(fx)
-    else:
-        return x, fx, budget, False
-    return x, fx, taken, False
 
 
 def _newton_direction(x, gx, geometry, kind, settings, model):

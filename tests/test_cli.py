@@ -564,6 +564,11 @@ _FIELD = Path(__file__).parent / "golden" / "sharp-reconstruct" / "sharp_lambda1
         pytest.param(
             f"{_HUGE_EPSILON} --functional V", "epsilon", id="minimize-V-epsilon-gradient-overflows"
         ),
+        # W*(1/lambda) overflows a start's energy, whatever epsilon is.
+        pytest.param(
+            f"{_MINIMIZE} --lambda 1e-300", "lambda 1e-300 and epsilon 0.1 make the energy",
+            id="minimize-lambda-energy-overflows",
+        ),
         pytest.param(f"{_MINIMIZE} --multistart -3", "multistart", id="minimize-multistart"),
         pytest.param(
             "minimize --functional V --lambda 1.5 --mu 200 --epsilon 0.05 --grid 32 --seed -1",

@@ -109,6 +109,17 @@ def test_mollified_sharp_minimizer_recovers_v4():
     assert rescaled == pytest.approx(v_n(4, C_LJ, 200.0, 1.5), rel=0.05)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan, math.inf])
+def test_the_mollifier_rejects_an_epsilon_that_is_not_positive_and_finite(epsilon):
+    # A negative epsilon reverses the profile and a NaN one makes its
+    # offsets NaN; a jump-free field never reaches the profile.
+    with pytest.raises(ValueError, match="epsilon"):
+        transition_profile(LJ, epsilon)
+    for pc in (PiecewiseConstantField(1.0, (), (1.0,)), PiecewiseConstantField(1.4, (1.0,), (1.0, 0.0))):
+        with pytest.raises(ValueError, match="epsilon"):
+            mollify_sharp_candidate(pc, epsilon, LJ, 64)
+
+
 def test_mollify_leaves_transition_free_fields_alone():
     pc = PiecewiseConstantField(1.0, (), (1.0,))
     field = mollify_sharp_candidate(pc, 0.02, LJ, 64)
@@ -1381,26 +1392,65 @@ def test_bitwise_sweeps_on_every_cpu_are_the_one_cpu_sweeps(
     assert shared.metadata == serial.metadata
 
 
-def test_bitwise_newton_sweeps_on_every_cpu_are_the_one_cpu_sweeps(monkeypatch, forks):
-    """An E sweep whose cap lets descents reach the Newton phase: some
-    starts certify there and one stalls, which ends its descent.  Every
-    row is converged, and every field of every row is the one-CPU
-    sweep's."""
-    settings = SolveSettings(lam=1.4, epsilon=1.0, grid_n=200, max_iterations=1500, multistart=1)
-    epsilons = (0.08, 0.04, 0.02, 0.01)
-    outcomes = []  # (iterations spent, converged) of each Newton phase in the caller
-    newton = regularized._newton
+# The Newton sweep: an E sweep whose cap lets descents reach the Newton
+# phase, where some starts certify and some stall.
+_NEWTON_SWEEP = (
+    SolveSettings(lam=1.4, epsilon=1.0, grid_n=200, max_iterations=1500, multistart=1),
+    (0.08, 0.04, 0.02, 0.01),
+)
 
-    def recorded(*args):
-        out = newton(*args)
-        outcomes.append(out[2:])
+
+def _residual_ratio(x, gx, kind, settings):
+    """||x - P(x - g)|| / tol, the unit-step stationarity test's ratio."""
+    unit = x - kind.project(x - gx, settings.lam)
+    return math.sqrt(unit @ unit) / (GTOL * (1.0 + math.sqrt(gx @ gx)))
+
+
+def _newton_sweep_descents(monkeypatch):
+    """Run the Newton sweep on one CPU.  Returns its result and each
+    descent's arguments, outcome and Newton directions, each direction as
+    (residual/tol at its point, whether it needed a shift)."""
+    descents = []
+    direction, descend = regularized._newton_direction, regularized._descend
+
+    def recorded_direction(x, gx, geometry, kind, settings, model):
+        out = direction(x, gx, geometry, kind, settings, model)
+        descents[-1][2].append((_residual_ratio(x, gx, kind, settings), out[2]))
         return out
 
-    monkeypatch.setattr(regularized, "_newton", recorded)
+    def recorded_descend(*args):
+        descents.append([args, None, []])
+        descents[-1][1] = descend(*args)
+        return descents[-1][1]
+
+    monkeypatch.setattr(regularized, "_newton_direction", recorded_direction)
+    monkeypatch.setattr(regularized, "_descend", recorded_descend)
+    settings, epsilons = _NEWTON_SWEEP
     _on_cpus(monkeypatch, 1)
-    serial = gamma_sweep_I(LJ, epsilons, settings)
-    assert any(converged for _, converged in outcomes)
-    assert any(not converged and taken < 1500 - _NEWTON_AFTER for taken, converged in outcomes)
+    return gamma_sweep_I(LJ, epsilons, settings), descents
+
+
+def _newton_phases(descents):
+    """The descents that reached the Newton phase, with its iterations
+    (taken) beside each.  A phase that certifies at its first check takes
+    no direction but an iteration; one that stalls there takes a direction
+    but no iteration."""
+    return [
+        (out[2] - _NEWTON_AFTER, args, out, steps)
+        for args, out, steps in descents
+        if steps or out[2] > _NEWTON_AFTER
+    ]
+
+
+def test_bitwise_newton_sweeps_on_every_cpu_are_the_one_cpu_sweeps(monkeypatch, forks):
+    """The Newton sweep: some starts certify in the Newton phase and one
+    stalls, which ends its descent below the cap.  Every row is converged,
+    and every field of every row is the one-CPU sweep's."""
+    settings, epsilons = _NEWTON_SWEEP
+    serial, descents = _newton_sweep_descents(monkeypatch)
+    phases = _newton_phases(descents)
+    assert any(out[3] for _, _, out, _ in phases)
+    assert any(not out[3] and taken < 1500 - _NEWTON_AFTER for taken, _, out, _ in phases)
     assert all(row.converged for row in serial.rows)
     _on_cpus(monkeypatch, 3)
     shared = gamma_sweep_I(LJ, epsilons, settings)
@@ -1411,102 +1461,75 @@ def test_bitwise_newton_sweeps_on_every_cpu_are_the_one_cpu_sweeps(monkeypatch, 
 
 
 def test_a_stalled_newton_phase_ends_its_descent(monkeypatch):
-    """The Newton sweep above on one CPU: a descent whose Newton phase
-    stalls stops there, unconverged and below the cap, after its
+    """The Newton sweep on one CPU: a descent whose Newton phase stalls
+    stops there, unconverged and below the cap, after its
     ``_NEWTON_AFTER`` first-order iterations and the phase's own, at the
-    phase's last point and energy, which ends its history."""
-    settings = SolveSettings(lam=1.4, epsilon=1.0, grid_n=200, max_iterations=1500, multistart=1)
-    epsilons = (0.08, 0.04, 0.02, 0.01)
-    phases, descents = [], []  # each Newton phase; each descent with its phase or None
-    newton, descend = regularized._newton, regularized._descend
-
-    def recorded_newton(*args):
-        out = newton(*args)
-        phases.append(out)
-        return out
-
-    def recorded_descend(*args):
-        before = len(phases)
-        out = descend(*args)
-        descents.append((phases[before] if len(phases) > before else None, out))
-        return out
-
-    monkeypatch.setattr(regularized, "_newton", recorded_newton)
-    monkeypatch.setattr(regularized, "_descend", recorded_descend)
-    _on_cpus(monkeypatch, 1)
-    gamma_sweep_I(LJ, epsilons, settings)
-    assert len(phases) == sum(phase is not None for phase, _ in descents)
-    stalled = [(phase, out) for phase, out in descents if phase is not None and not phase[-1]]
+    phase's last point and energy, which ends its history.  Each of the
+    phase's iterations stepped along one Newton direction, and the stall
+    took at most one more; no first-order iteration follows the phase."""
+    _, descents = _newton_sweep_descents(monkeypatch)
+    stalled = [phase for phase in _newton_phases(descents) if not phase[2][3]]
     assert stalled
-    for phase, (x, fx, iterations, converged, history) in stalled:
-        taken = phase[-2]
+    for taken, (_, kind, settings, model), (x, fx, iterations, converged, history), steps in stalled:
         assert iterations == _NEWTON_AFTER + taken < settings.max_iterations
         assert not converged
-        assert np.array_equal(x, phase[0])
-        assert history[-1] == fx == phase[1]
+        assert len(history) == iterations + 1
+        assert taken <= len(steps) <= taken + 1
+        assert history[-1] == fx == kind.energy_at(kind.geometry(x, settings.lam), settings, model)
 
 
 def test_a_shifted_newton_run_that_does_not_halve_its_residual_ends_the_descent(monkeypatch):
-    """The Newton sweep above on one CPU: once the last ``_SHIFTED_WINDOW``
+    """The Newton sweep on one CPU: once the last ``_SHIFTED_WINDOW``
     directions of a Newton phase all needed a diagonal shift, the phase
     stalls where residual/tol has not halved over them, before the next
     direction and between two checks of the ``_NEWTON_WINDOW`` test.  The
     descent stops there, unconverged, after its ``_NEWTON_AFTER``
     first-order iterations and the phase's own, at the phase's last point.
     No earlier point of the phase met the test."""
-    settings = SolveSettings(lam=1.4, epsilon=1.0, grid_n=200, max_iterations=1500, multistart=1)
-    epsilons = (0.08, 0.04, 0.02, 0.01)
-    phases, descents = [], []  # each Newton phase with its directions; each descent with its phase
-    newton, direction, descend = regularized._newton, regularized._newton_direction, regularized._descend
-
-    def ratio(x, gx, kind, settings):
-        unit = x - kind.project(x - gx, settings.lam)
-        return math.sqrt(unit @ unit) / (GTOL * (1.0 + math.sqrt(gx @ gx)))
-
-    def recorded_direction(x, gx, geometry, kind, settings, model):
-        out = direction(x, gx, geometry, kind, settings, model)
-        phases[-1][1].append((ratio(x, gx, kind, settings), out[2]))
-        return out
-
-    def recorded_newton(x, fx, gx, geometry, kind, settings, model, *rest):
-        phases.append([None, []])
-        out = newton(x, fx, gx, geometry, kind, settings, model, *rest)
-        gx = kind.gradient_at(kind.geometry(out[0], settings.lam), settings, model)
-        phases[-1][0] = (out, ratio(out[0], gx, kind, settings))
-        return out
-
-    def recorded_descend(*args):
-        before = len(phases)
-        out = descend(*args)
-        descents.append((phases[before] if len(phases) > before else None, out))
-        return out
-
-    monkeypatch.setattr(regularized, "_newton", recorded_newton)
-    monkeypatch.setattr(regularized, "_newton_direction", recorded_direction)
-    monkeypatch.setattr(regularized, "_descend", recorded_descend)
-    _on_cpus(monkeypatch, 1)
-    gamma_sweep_I(LJ, epsilons, settings)
+    _, descents = _newton_sweep_descents(monkeypatch)
     k = _SHIFTED_WINDOW
 
     def meets_the_test(steps, ratio_now):
         return len(steps) >= k and all(s for _, s in steps[-k:]) and ratio_now > 0.5 * steps[-k][0]
 
     stalled = []
-    for phase, (x, fx, iterations, converged, history) in descents:
-        if phase is None:
-            continue
-        (px, pfx, taken, pconverged), last_ratio = phase[0]
-        steps = phase[1]
-        if pconverged or taken % _NEWTON_WINDOW == 0 or not meets_the_test(steps, last_ratio):
+    for taken, (_, kind, settings, model), out, steps in _newton_phases(descents):
+        x, fx, iterations, converged, history = out
+        gx = kind.gradient_at(kind.geometry(x, settings.lam), settings, model)
+        last_ratio = _residual_ratio(x, gx, kind, settings)
+        if converged or taken % _NEWTON_WINDOW == 0 or not meets_the_test(steps, last_ratio):
             continue
         stalled.append(taken)
         assert len(steps) == taken
         assert not any(meets_the_test(steps[:j], steps[j][0]) for j in range(taken))
         assert iterations == _NEWTON_AFTER + taken < settings.max_iterations
         assert not converged
-        assert np.array_equal(x, px)
-        assert history[-1] == fx == pfx
+        assert len(history) == iterations + 1
+        assert history[-1] == fx == kind.energy_at(kind.geometry(x, settings.lam), settings, model)
     assert stalled
+
+
+def test_a_newton_window_that_does_not_halve_its_residual_ends_the_descent(monkeypatch):
+    """The Newton sweep on one CPU with no shifted stall: a Newton phase
+    whose residual/tol has not halved over ``_NEWTON_WINDOW`` iterations
+    stalls at that window's check, before its next direction, and every
+    earlier check had halved it.  The descent stops there, unconverged and
+    below the cap, at the phase's last point, and no first-order iteration
+    follows the phase."""
+    monkeypatch.setattr(regularized, "_SHIFTED_WINDOW", 10**9)
+    _, descents = _newton_sweep_descents(monkeypatch)
+    w = _NEWTON_WINDOW
+    stalled = [phase for phase in _newton_phases(descents) if not phase[2][3]]
+    assert stalled
+    for taken, (_, kind, settings, model), (x, fx, iterations, converged, history), steps in stalled:
+        assert taken > 0 and taken % w == 0
+        assert len(steps) == taken
+        gx = kind.gradient_at(kind.geometry(x, settings.lam), settings, model)
+        assert _residual_ratio(x, gx, kind, settings) > 0.5 * steps[taken - w][0]
+        assert all(steps[j][0] <= 0.5 * steps[j - w][0] for j in range(w, taken, w))
+        assert iterations == _NEWTON_AFTER + taken < settings.max_iterations
+        assert len(history) == iterations + 1
+        assert history[-1] == fx == kind.energy_at(kind.geometry(x, settings.lam), settings, model)
 
 
 @pytest.mark.parametrize(
@@ -1880,6 +1903,13 @@ def test_phi_interpolator_matches_closed_form():
     phi = phi_interpolator(LJ, s_max=1.0)
     # Phi(1) is the surface constant itself.
     assert float(phi(1.0)) == pytest.approx(C_LJ, abs=1e-6)
+
+
+@pytest.mark.parametrize("s_max", [0.0, -1.0, math.nan, math.inf])
+def test_phi_interpolator_rejects_an_s_max_that_is_not_positive_and_finite(s_max):
+    # A reversed or NaN grid would answer 0 for every s.
+    with pytest.raises(ValueError, match="s_max"):
+        phi_interpolator(LJ, s_max)
 
 
 def test_settings_validation():
