@@ -10,13 +10,16 @@ range is checked by the library function that owns it, so a rejected
 value (NaN and infinity included) exits 2 before anything is written.
 An ``--out`` that is, or lies under, an existing file exits 2 before
 any computation; otherwise ``--out`` is created only when a command has
-output to write, after its computation.
+output to write, after its computation.  An output file or ``--out``
+directory that cannot be written exits 2 too, and the files written
+before it stay.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import functools
 import sys
 from dataclasses import dataclass, fields
@@ -193,6 +196,16 @@ def _config_value(option: _Option, section: str, raw: str):
     return value
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """An output that cannot be written is a ConfigError; the files
+    written before it stay."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
+
+
 def _gather(args, config) -> dict:
     """Each setting of the command: its flag, else its config value, else its default."""
     section = args.command
@@ -210,7 +223,8 @@ def _gather(args, config) -> dict:
     if "out" in merged:
         out = Path(merged["out"])
         # The first existing path up the tree is where mkdir would fail.
-        existing = next(p for p in (out, *out.parents) if p.exists())
+        with _writing(out):
+            existing = next(p for p in (out, *out.parents) if p.exists())
         if not existing.is_dir():
             raise ConfigError(f"out {str(out)!r}: {str(existing)!r} is not a directory")
     return merged
@@ -218,12 +232,14 @@ def _gather(args, config) -> dict:
 
 def _out_dir(merged: dict) -> Path:
     out = Path(merged["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+    with _writing(path):
+        serialize.write_text(path, text)
 
 
 def _model(merged: dict, config) -> MaterialModel:
@@ -251,7 +267,9 @@ def _cmd_sharp(merged, config) -> int:
     out = _out_dir(merged)
     stem = f"sharp_lambda{lam:g}_mu{mu:g}"
     for variant, minimizer in minimizers.items():
-        serialize.write_field(out / f"{stem}_variant{variant}.field", minimizer.field)
+        field_path = out / f"{stem}_variant{variant}.field"
+        with _writing(field_path):
+            serialize.write_field(field_path, minimizer.field)
         graph = graphs[variant]
         _write(out / f"{stem}_deformation_{variant}.csv", serialize.deformation_csv(graph))
         _write(out / f"{stem}_deformation_{variant}.json", serialize.deformation_json(graph))

@@ -5,6 +5,11 @@ tolerance used anywhere, so emitted files re-parse to equivalent
 values and identical inputs produce byte-identical output.  Every JSON
 file is ``json_text``'s: ``json.dumps(obj, indent=2, sort_keys=True)``
 plus a newline.
+
+Every output file is written by ``write_text``, the one write path:
+UTF-8 with ``"\n"`` line ends on every platform, overwritten in place,
+so that a rerun into the same directory pays no truncate on open.  A
+write is not atomic: a reader may see a file half written.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 from typing import Iterable, Sequence
 
 from .harness import ScanReport, SweepReport, SweepRow
@@ -22,6 +28,7 @@ from .sharp import DeformationGraph, PiecewiseLinearField
 __all__ = [
     "format_number",
     "json_text",
+    "write_text",
     "write_field",
     "parse_field",
     "field_to_text",
@@ -76,9 +83,30 @@ def parse_field(text: str) -> PiecewiseLinearField:
     return PiecewiseLinearField(lam, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, overwriting the file in place.
+
+    The file is opened without ``O_TRUNC``, written in full (a short write
+    is continued), then cut to the new length, so no old bytes follow the
+    new ones.  A write that fails cuts the file to the bytes written so
+    far and re-raises.
+    """
+    data = text.encode("utf-8")
+    # O_BINARY (Windows only) keeps "\n" from becoming "\r\n".
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        written = 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
+
+
 def write_field(path, field) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(field_to_text(field))
+    write_text(path, field_to_text(field))
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from fracture1d.serialize import (
     field_to_text,
     format_number,
     parse_field,
+    write_text,
 )
 from fracture1d.sharp import build_sharp_minimizer, eval_V
 
@@ -55,6 +57,86 @@ def test_discrete_csv_shape():
 
 def test_format_number_precision():
     assert format_number(math.pi) == "3.14159265359"
+
+
+def test_write_text_overwrites_in_place_and_continues_short_writes(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"x" * 50_000)
+    text = "a,b\n" + "1,\u00e9\n" * 300
+    real_write = os.write
+    calls = []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return real_write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(os, "write", short_write)
+    write_text(path, text)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert len(calls) == -(-len(text.encode("utf-8")) // 7)
+    monkeypatch.undo()
+    write_text(path, "")
+    assert path.read_bytes() == b""
+
+
+def test_a_failed_write_keeps_only_the_bytes_written(tmp_path, monkeypatch):
+    """A write that fails part-way leaves the bytes it wrote and none of
+    the longer file's old ones behind them, and the error propagates."""
+    path = tmp_path / "out.json"
+    path.write_bytes(b"old " * 10_000)
+    data = ("new\n" * 1000).encode("utf-8")
+    real_write = os.write
+    written = []
+
+    def write_then_fail(fd, chunk):
+        if written:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        written.append(real_write(fd, bytes(chunk[:1000])))
+        return written[0]
+
+    monkeypatch.setattr(os, "write", write_then_fail)
+    with pytest.raises(OSError) as info:
+        write_text(path, data.decode("utf-8"))
+    assert info.value.errno == errno.ENOSPC
+    monkeypatch.undo()
+    assert path.read_bytes() == data[:1000]
+
+
+def test_cli_an_output_that_cannot_be_written_exits_2_and_keeps_what_came_before(tmp_path, capsys):
+    """A directory at an output's name: the command exits 2, names the
+    path, and the files written before it stay."""
+    out = tmp_path / "d"
+    blocked = out / "scan_mu200.json"
+    blocked.mkdir(parents=True)
+    argv = ["scan", "--mu", "200", "--lambda-min", "1", "--lambda-max", "2", "--step", "0.1"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {str(blocked)!r}: ")
+    assert err.count("\n") == 1
+    assert (out / "scan_mu200.csv").is_file()
+
+    blocked = tmp_path / "e" / "sharp_lambda1.5_mu200_variantA.field"
+    blocked.mkdir(parents=True)
+    assert main(["sharp", "--lambda", "1.5", "--mu", "200", "--out", str(blocked.parent)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {str(blocked)!r}: ")
+    assert not (blocked.parent / "sharp_lambda1.5_mu200.json").exists()
+
+
+def test_cli_an_out_directory_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypatch):
+    """A name too long to look up exits 2 before any computation, and a
+    directory that mkdir cannot make exits 2 after it."""
+    out = tmp_path / ("a" * 300)
+    assert main(["sharp", "--lambda", "1.5", "--mu", "200", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {str(out)!r}: ")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    out = tmp_path / "out"
+    assert main(["sharp", "--lambda", "1.5", "--mu", "200", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {str(out)!r}: {os.strerror(errno.EACCES)}\n"
 
 
 # ------------------------------------------------------------ cwstar

@@ -110,6 +110,22 @@ def test_cli_outputs_match_golden_files(name, tmp_path):
         assert actual[file_name] == data, f"{name}/{file_name} differs from the golden copy"
 
 
+@pytest.mark.parametrize("name", ["scan", "sharp-reconstruct"])
+def test_a_rerun_over_longer_and_empty_files_writes_the_golden_bytes(name, tmp_path):
+    """Outputs are overwritten in place: a rerun into an ``--out`` whose
+    files are longer (50 KB of junk) or shorter (empty) than the new ones
+    leaves exactly the golden bytes."""
+    expected_dir = GOLDEN / name
+    out = tmp_path / "out"
+    out.mkdir()
+    names = sorted(p.name for p in expected_dir.iterdir() if p.name != "stdout.txt")
+    for i, file_name in enumerate(names):
+        (out / file_name).write_bytes(b"junk\n" * 10_000 if i % 2 == 0 else b"")
+    actual = run_case(name, tmp_path)
+    for file_name in names:
+        assert actual[file_name] == (expected_dir / file_name).read_bytes(), file_name
+
+
 def regenerate() -> None:
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
