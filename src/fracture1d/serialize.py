@@ -9,11 +9,19 @@ plus a newline.
 Every output file is written by ``write_text``, the one write path:
 UTF-8 with ``"\n"`` line ends on every platform, overwritten in place,
 so that a rerun into the same directory pays no truncate on open.  A
-write is not atomic: a reader may see a file half written.
+write is not atomic.  A reader may see a file half written, and a
+process killed mid-write can leave a file whose new bytes are followed
+by the previous run's tail, which for a CSV table can still parse.
+Nothing is synced: a rewritten file, like a new one, reaches the disk
+at the kernel's periodic writeback (an ``O_TRUNC`` open made ext4
+start it at close), so a power loss before then can leave old bytes
+or pages of both runs.  Rerun an interrupted command before reading
+its outputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -86,23 +94,34 @@ def parse_field(text: str) -> PiecewiseLinearField:
 def write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, overwriting the file in place.
 
-    The file is opened without ``O_TRUNC``, written in full (a short write
-    is continued), then cut to the new length, so no old bytes follow the
-    new ones.  A write that fails cuts the file to the bytes written so
-    far and re-raises.
+    The file is opened without ``O_TRUNC`` and written in full (a short
+    write is continued).  A regular file longer than the new text is then
+    cut to its length; a device or pipe, such as a link to ``/dev/null``,
+    is only written.  A write that fails cuts the file to the bytes
+    written so far and re-raises the write's error.  A process killed
+    mid-write leaves the new bytes followed by the old file's tail.
     """
     data = text.encode("utf-8")
     # O_BINARY (Windows only) keeps "\n" from becoming "\r\n".
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    written = 0
     try:
-        written = 0
-        try:
-            while written < len(data):
-                written += os.write(fd, data[written:])
-        finally:
-            os.ftruncate(fd, written)
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    except BaseException:
+        with contextlib.suppress(OSError):
+            _cut(fd, written)
+        raise
+    else:
+        _cut(fd, written)
     finally:
         os.close(fd)
+
+
+def _cut(fd: int, length: int) -> None:
+    # ftruncate fails with EINVAL on a device or FIFO, whose st_size is 0.
+    if os.fstat(fd).st_size > length:
+        os.ftruncate(fd, length)
 
 
 def write_field(path, field) -> None:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -100,6 +101,49 @@ def test_a_failed_write_keeps_only_the_bytes_written(tmp_path, monkeypatch):
     assert info.value.errno == errno.ENOSPC
     monkeypatch.undo()
     assert path.read_bytes() == data[:1000]
+
+    # A cut that fails too does not hide the write's error.
+    written.clear()
+    monkeypatch.setattr(os, "write", write_then_fail)
+
+    def refuse(fd, length):
+        raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+    monkeypatch.setattr(os, "ftruncate", refuse)
+    with pytest.raises(OSError) as info:
+        write_text(path, "x" * 5000)
+    assert info.value.errno == errno.ENOSPC
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs /dev/null and FIFOs")
+def test_write_text_writes_to_a_device_and_a_pipe(tmp_path):
+    """Neither a device nor a FIFO can be truncated; both are written."""
+    write_text(os.devnull, "a\n" * 1000)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    write_text(fifo, "a,b\n1,2\n")
+    reader.join(timeout=10)
+    assert received == [b"a,b\n1,2\n"]
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink") or not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_cli_a_rerun_writes_through_an_output_linked_to_dev_null(tmp_path, capsys):
+    """An output replaced by a link to /dev/null is written through the
+    link, and the rerun's other outputs are the first run's bytes."""
+    out = tmp_path / "out"
+    argv = ["sharp", "--lambda", "1.5", "--mu", "200", "--out", str(out)]
+    assert main(argv) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    linked = out / "sharp_lambda1.5_mu200_cracks.csv"
+    linked.unlink()
+    linked.symlink_to("/dev/null")
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert linked.is_symlink()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {**first, linked.name: b""}
 
 
 def test_cli_an_output_that_cannot_be_written_exits_2_and_keeps_what_came_before(tmp_path, capsys):
