@@ -15,6 +15,7 @@ cracks, exactly when lambda > 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -140,16 +141,17 @@ class PiecewiseLinearField:
                 raise DomainError("knots must increase strictly")
 
     def slopes(self) -> np.ndarray:
-        k = np.asarray(self.knots)
-        v = np.asarray(self.knot_values)
-        return np.diff(v) / np.diff(k)
+        return self._slopes_and_tolerance[0].copy()
 
     def value_at(self, y):
         out = np.interp(np.asarray(y, dtype=float), self.knots, self.knot_values)
         return float(out) if out.ndim == 0 else out
 
+    # Kept in the instance's __dict__ after the first read, read-only, as
+    # the field is frozen; a replaced field is a new instance.
+    @functools.cached_property
     def _slopes_and_tolerance(self) -> tuple[np.ndarray, np.ndarray]:
-        """``slopes()`` and a rounding bound on each, at least SLOPE_JUMP_TOL.
+        """The slopes and a rounding bound on each, at least SLOPE_JUMP_TOL.
 
         Each knot is off by a few ulps of the domain length and each value
         by a few ulps of the largest |h|, and a slope divides the errors at
@@ -160,13 +162,16 @@ class PiecewiseLinearField:
         dk = np.diff(np.array(self.knots))
         size = self.domain_length + max(map(abs, self.knot_values))
         tol = np.maximum(SLOPE_JUMP_TOL, (2.0 * _KNOT_ULPS * np.finfo(float).eps * size) / dk)
-        return np.diff(np.array(self.knot_values)) / dk, tol
+        slopes = np.diff(np.array(self.knot_values)) / dk
+        slopes.flags.writeable = False
+        tol.flags.writeable = False
+        return slopes, tol
 
     def slope_steps(self) -> PiecewiseConstantField:
         """The slope as a step field: neighbouring slopes that differ by no
         more than their rounding bounds form one piece, valued at the
         first slope of its run."""
-        s, tol = self._slopes_and_tolerance()
+        s, tol = self._slopes_and_tolerance
         breaks = np.flatnonzero(np.abs(np.diff(s)) > tol[:-1] + tol[1:]) + 1
         knots = np.array(self.knots)[breaks].tolist()
         values = s[np.concatenate(([0], breaks))].tolist()
@@ -177,7 +182,7 @@ class PiecewiseLinearField:
 
     def _slope_runs(self, target: float) -> list[tuple[float, float]]:
         """Maximal intervals where the slope is target up to rounding."""
-        s, tol = self._slopes_and_tolerance()
+        s, tol = self._slopes_and_tolerance
         runs, start = [], None
         for i, inside in enumerate((np.abs(s - target) <= tol).tolist() + [False]):
             if inside and start is None:
@@ -198,7 +203,7 @@ class PiecewiseLinearField:
 
     def has_well_slopes(self) -> bool:
         """Every slope is 0 or 1 up to rounding."""
-        s, tol = self._slopes_and_tolerance()
+        s, tol = self._slopes_and_tolerance
         return bool(np.all(np.minimum(np.abs(s), np.abs(s - 1.0)) <= tol))
 
     def is_V_admissible(self) -> bool:
@@ -267,7 +272,7 @@ def foundation_integral(field: PiecewiseLinearField, load: float | None = None) 
     lam = field.domain_length if load is None else load
     knots = field.knots
     vals = field.knot_values
-    slopes, tol = field._slopes_and_tolerance()
+    slopes, tol = field._slopes_and_tolerance
     rising = np.abs(slopes) > tol
     pieces = []
     for i in np.flatnonzero(rising).tolist():

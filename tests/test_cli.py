@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import errno
+import io
 import json
 import math
 import os
@@ -21,6 +23,7 @@ from fracture1d.serialize import (
     field_to_text,
     format_number,
     parse_field,
+    scan_csv,
     write_text,
 )
 from fracture1d.sharp import build_sharp_minimizer, eval_V
@@ -271,6 +274,39 @@ def test_cli_scan_staircase_and_determinism(tmp_path):
             at_15 = int(cells[2])
     assert at_15 == 4
     assert all(b >= a for a, b in zip(counts, counts[1:]))
+
+
+def _reference_scan_csv(report):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("lambda", "mu", "n", "V_n", "x", "crack_positions"))
+    for r in report.rows:
+        writer.writerow([
+            format_number(r.lam),
+            format_number(report.metadata["mu"]),
+            r.n,
+            format_number(r.energy),
+            format_number(r.x),
+            ";".join(format_number(p) for p in r.crack_positions),
+        ])
+    return buf.getvalue()
+
+
+def test_scan_csv_matches_a_cell_by_cell_reference():
+    model = builtin_lj()
+    for mu in (200.0, 2000.0, 0.0):
+        report = harness.crack_scan((1.0, 3.0), 0.01, mu, model)
+        assert scan_csv(report) == _reference_scan_csv(report)
+    # Rows of one count with other positions, and an integer mu: each row
+    # is written from its own values.
+    rows = (
+        harness.ScanRow(1.25, 0.5, 2, 1.0, (0.25, 0.75)),
+        harness.ScanRow(1.5, 0.5, 2, 1.0, (0.125, 0.625)),
+        harness.ScanRow(1.75, 0.5, 2, 1.0, (0.25, 0.75)),
+        harness.ScanRow(2.0, 0.5, 1, 1.0, ()),
+    )
+    report = harness.ScanReport(rows, {"mu": 7})
+    assert scan_csv(report) == _reference_scan_csv(report)
 
 
 def test_cli_scan_rejects_bad_range(tmp_path):

@@ -1,18 +1,23 @@
 """The JSON writer ``serialize.json_text`` against ``json.dumps``.
 
-Every JSON file the CLI writes goes through ``json_text``, which must
-give the bytes of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``:
-on the payloads of real commands, on seeded random nested payloads and
-on numpy floats, and it must raise where ``json.dumps`` raises.
+Every JSON file the CLI writes goes through ``json_text``, which builds
+its text itself and must give the bytes of
+``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``: on the payloads of
+real commands, on seeded random nested payloads, on numpy floats and on
+subclasses of int, str and dict, and it must raise where ``json.dumps``
+raises.  As ``json_text`` shares no code with ``json.dumps``, each
+comparison is an independent check.
 """
 
 from __future__ import annotations
 
 import contextlib
+import enum
 import io
 import json
 import random
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +85,14 @@ def test_every_payload_of_a_sweep_and_a_minimize(tmp_path, recorded):
     assert written == reference(recorded[-1][0]).encode("ascii")
 
 
+def test_every_payload_of_a_many_row_scan(tmp_path, recorded):
+    run_commands([["scan", "--mu", "2000", "--lambda-min", "1", "--lambda-max", "3",
+                   "--step", "0.001", "--out", str(tmp_path)]])
+    [(obj, text)] = recorded
+    assert len(obj["rows"]) == 1999
+    assert text == reference(obj)
+
+
 # Strings with quotes, backslashes, control characters, non-ASCII and
 # astral characters, and the texts json gives non-finite floats.
 _STRINGS = ("", "a", 'q"uote', "back\\slash", "tab\tnew\nline\r", "\x00\x1f\x7f", "é",
@@ -139,6 +152,40 @@ def test_keys_that_json_converts():
         assert serialize.json_text(payload) == reference(payload)
 
 
+class Count(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+class Name(str):
+    pass
+
+
+class Table(dict):
+    pass
+
+
+def test_subclasses_are_written_as_their_json_base():
+    payload = {
+        "counts": [Count.ONE, Count.TWO, {"n": Count.TWO}],
+        "names": [Name("a"), Name('q"uote'), {Name("key"): Name("\u00e9")}],
+        Name("b"): Table(z=Count.ONE, a=[Name("x"), 0.5]),
+        "empty": Table(),
+        "keys": {Count.TWO: 1, Count.ONE: 2},
+    }
+    assert serialize.json_text(payload) == reference(payload)
+    assert serialize.json_text(Count.TWO) == reference(Count.TWO) == "2\n"
+    assert serialize.json_text(Name("top")) == reference(Name("top"))
+
+
+def test_equal_keys_of_other_types_keep_their_own_text():
+    # 1, 1.0 and True are one dict key; json writes each as its own text.
+    payload = [{1: 0}, {1.0: 0}, {True: 0}, {0: 1}, {-0.0: 1}, {False: 1}, {"1": 0}]
+    assert serialize.json_text(payload) == reference(payload)
+    rows = [{"b": 1, "a": 2}, {"a": 3, "b": 4}, {"b": 5, "a": [{"b": 6, "a": 7}]}]
+    assert serialize.json_text(rows) == reference(rows)
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -167,3 +214,21 @@ def test_a_circular_payload_raises_as_json_does():
         serialize.json_text(loop)
     shared = [0.5]
     assert serialize.json_text([shared, shared]) == reference([shared, shared])
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"a": [1.0, object()]},
+        {1: object(), Decimal(2): 1},
+        {Decimal(1): 1.0, 2: object()},
+        [0.5, {"b": {1, 2}, "a": 1.0}],
+    ],
+    ids=["object", "value-before-key", "key-before-value", "set"],
+)
+def test_type_errors_carry_json_s_message(obj):
+    with pytest.raises(TypeError) as expected:
+        reference(obj)
+    with pytest.raises(TypeError) as raised:
+        serialize.json_text(obj)
+    assert str(raised.value) == str(expected.value)

@@ -285,6 +285,26 @@ def test_slope_steps_break_once_per_derivative_jump(lam, variant):
     assert steps.values[0] == field.slopes()[0]
 
 
+def test_slopes_and_their_bounds_are_computed_once_and_read_only():
+    field = build_sharp_minimizer(crack_count(C_LJ, 200.0, 1e3), 1e3, "A", C_LJ, 200.0).field
+    slopes, tol = field._slopes_and_tolerance
+    assert field._slopes_and_tolerance[0] is slopes
+    assert field._slopes_and_tolerance[1] is tol
+    assert not slopes.flags.writeable and not tol.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        slopes[0] = 0.5
+    # slopes() is a fresh, writable array with the same bits each call.
+    fresh = field.slopes()
+    assert fresh.flags.writeable and not np.shares_memory(fresh, slopes)
+    expected = np.diff(np.array(field.knot_values)) / np.diff(np.array(field.knots))
+    assert np.array_equal(fresh.view(np.uint64), expected.view(np.uint64))
+    fresh[:] = 0.5
+    assert np.array_equal(field.slopes(), expected)
+    # The cache is no field: equality and hashing see the knots alone.
+    again = PiecewiseLinearField(field.domain_length, field.knots, field.knot_values)
+    assert again == field and hash(again) == hash(field)
+
+
 def test_jumps_lists_each_step_above_the_tolerance():
     field = PiecewiseConstantField(2.0, (0.5, 1.0, 1.5), (1.0, 1.0 + 1e-13, 0.0, 1.0))
     assert field.jumps() == [(1.0, 1.0 + 1e-13, 0.0), (1.5, 0.0, 1.0)]
