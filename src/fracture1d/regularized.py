@@ -831,141 +831,6 @@ def _tridiagonal_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np
     return x[:, :n]
 
 
-def _descend_all(
-    batteries: list[list[tuple[str, np.ndarray]]],
-    kind: _Functional,
-    rows: Sequence[SolveSettings],
-    model: MaterialModel,
-) -> list:
-    """Each row's winning descent, ``(x, fx, iterations, converged,
-    history, label)``, in row order up to the first row with a start that
-    raised ValueError, which holds the error of its earliest such start.
-
-    Row r > 0 has one start more than its battery, "continuation", row
-    r - 1's winner, which can descend only once that row is done.  The
-    caller keeps the starts of all rows in one queue and hands out the
-    next one whenever a descent is free to run: a ready continuation
-    first, else the next battery start in row order.  A row's winner is
-    its least energy, the earlier start in battery order on a tie, so the
-    results are the same bits however the starts were shared out.  A
-    start's ValueError (an epsilon that overflows it) keeps the rows
-    after its own from starting.
-
-    When two or more starts can run at once, the caller forks one worker
-    per CPU of the affinity mask, at most one per start, and only
-    schedules.  A worker descends each task it receives, ``(row, start,
-    continuation values or None)``, sends back the descent or the
-    ValueError, and stops on None; floats pickle exactly.  The batteries
-    reach the workers through fork, unpickled, since the functional's
-    kernels and a model's densities may be closures.  Any other exception
-    ends its worker, and the call raises RuntimeError as soon as it reads
-    that worker's closed pipe.  Forking a process that runs other threads
-    is unsafe, so then, with one CPU, or without fork, the caller descends
-    every start itself.  No worker outlives the call.
-    """
-    order = [(r, i) for r, battery in enumerate(batteries) for i in range(len(battery))]
-    n_rows = len(rows)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(order) + n_rows - 1)
-    fork = None
-    if workers > 1 and threading.active_count() == 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            fork = multiprocessing.get_context("fork")
-
-    left = [len(battery) + (r > 0) for r, battery in enumerate(batteries)]
-    best = [None] * n_rows  # each row's (energy, start, descent) so far
-    errors = {}  # row -> (start, ValueError), its earliest start that raised
-    queue = iter(order)
-    ready = None  # the row whose continuation can start
-    stop = n_rows  # the first row not to start
-
-    def take():
-        nonlocal ready
-        if ready is not None:
-            r, ready = ready, None
-            return r, len(batteries[r]), best[r - 1][2][0]
-        r, i = next(queue, (n_rows, 0))
-        return (r, i, None) if r < stop else None
-
-    def finish(r, i, outcome):
-        nonlocal ready, stop
-        left[r] -= 1
-        if isinstance(outcome, ValueError):
-            stop = min(stop, r + 1)
-            if r not in errors or i < errors[r][0]:
-                errors[r] = i, outcome
-        elif best[r] is None or (outcome[1], i) < best[r][:2]:
-            best[r] = outcome[1], i, outcome
-        if left[r] == 0 and r + 1 < stop:
-            ready = r + 1
-
-    def descend(r, i, x0):
-        try:
-            return _descend(batteries[r][i][1] if x0 is None else x0, kind, rows[r], model)
-        except ValueError as exc:  # an epsilon that overflows the start
-            return exc
-
-    if fork is None:
-        while (task := take()) is not None:
-            finish(*task[:2], descend(*task))
-    else:
-        from multiprocessing.connection import wait
-
-        def serve(conn):
-            for task in iter(conn.recv, None):
-                conn.send(descend(*task))
-
-        procs, busy = {}, {}
-        try:
-            for _ in range(workers):
-                conn, theirs = fork.Pipe()
-                proc = fork.Process(target=serve, args=(theirs,), daemon=True)
-                proc.start()
-                # Only the worker holds its end, so the pipe closes when it dies.
-                theirs.close()
-                procs[conn] = proc
-            idle = list(procs)
-            while True:
-                while idle and (task := take()) is not None:
-                    conn = idle.pop()
-                    busy[conn] = task[:2]
-                    conn.send(task)
-                if not busy:
-                    break
-                for conn in wait(list(busy)):
-                    try:
-                        outcome = conn.recv()
-                    except EOFError:
-                        procs[conn].join()
-                        raise RuntimeError(
-                            f"a descent worker died with exit code {procs[conn].exitcode}"
-                        ) from None
-                    finish(*busy.pop(conn), outcome)
-                    idle.append(conn)
-        finally:
-            # Workers forked later hold the caller's ends of earlier pipes,
-            # so an idle worker is told to stop rather than left to see EOF.
-            for conn, proc in procs.items():
-                if conn in busy:
-                    proc.terminate()
-                else:
-                    conn.send(None)
-            for conn, proc in procs.items():
-                proc.join()
-                conn.close()
-
-    winners = []
-    for r, battery in enumerate(batteries):
-        if r in errors:
-            winners.append(errors[r][1])
-            break
-        _, i, descent = best[r]
-        winners.append((*descent, battery[i][0] if i < len(battery) else "continuation"))
-    return winners
-
-
 class _Functional(NamedTuple):
     """What the solver needs to know about one regularized functional."""
 
@@ -1020,23 +885,40 @@ def minimize(
     rows: Sequence[SolveSettings],
     warm: np.ndarray | None = None,
 ) -> list[SolveResult]:
-    """Best-of-multistart projected gradient descent on E or V, one
-    result per row of ``rows``: a single solve is one row, and an epsilon
-    sweep is one row per epsilon, largest first.
+    """Best-of-multistart projected descent on E or V, one result per row
+    of ``rows``: a single solve is one row, and an epsilon sweep is one row
+    per epsilon, largest first.
 
     Each row's battery holds the homogeneous state, mollified sharp
     candidates for crack counts around the predicted one, and seeded
     random perturbations.  Each row after the first adds, last, the start
     labelled "continuation": the minimizer of the row before it, so every
-    row must solve on the grid of the first.  ``warm``, the values of an
-    earlier solve on that grid, is the first row's continuation.
-    The starts of every row descend on every CPU the process may run on,
-    and the best of a row wins, the earlier start on a tie, so the results
-    are the same on any CPU count.  Results never raise on
-    non-convergence; check the ``converged`` flag.  An epsilon so large
-    that a start's energy or gradient overflows, or so small that the
-    rescaled energy does, raises ValueError, as a loop over the rows
-    would, and the rows after it are not solved.
+    row must solve on the grid of the first, and it can descend only once
+    that row is done.  ``warm``, the values of an earlier solve on that
+    grid, is the first row's continuation.  A row's winner is its least
+    energy, the earlier start in battery order on a tie, so the results
+    are the same bits on any CPU count.  Results never raise on
+    non-convergence; check the ``converged`` flag.
+
+    The caller keeps the starts of all rows in one queue and hands out the
+    next one whenever a descent is free to run: a ready continuation
+    first, else the next battery start in row order.  When two or more
+    starts can run at once, it forks one worker per CPU of the affinity
+    mask, at most one per start, and only schedules.  A worker descends
+    each task it receives, ``(row, start, continuation values or None)``,
+    sends back the descent or its ValueError, and stops on None; floats
+    pickle exactly.  The batteries reach the workers through fork,
+    unpickled, since the functional's kernels and a model's densities may
+    be closures.  Forking a process that runs other threads is unsafe, so
+    then, with one CPU, or without fork, the caller descends every start
+    itself.  A worker that dies before its last result (any other
+    exception ends it) raises RuntimeError as soon as the caller finds its
+    pipe closed, and no worker outlives the call.
+
+    An epsilon so large that a start's energy or gradient overflows, or so
+    small that the rescaled energy does, raises ValueError, as a loop over
+    the rows would: the earliest failing row's error.  A start's overflow
+    keeps the rows after its own from starting.
     """
     kind = _FUNCTIONALS.get(functional.upper())
     if kind is None:
@@ -1052,11 +934,112 @@ def minimize(
             raise ValueError(f"a warm start needs {shape[0]} values")
         batteries[0].append(("continuation", np.asarray(warm, float)))
 
+    order = [(r, i) for r, battery in enumerate(batteries) for i in range(len(battery))]
+    n_rows = len(batteries)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(order) + n_rows - 1)
+    fork = None
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            fork = multiprocessing.get_context("fork")
+
+    left = [len(battery) + (r > 0) for r, battery in enumerate(batteries)]
+    best = [None] * n_rows  # each row's (energy, start, descent) so far
+    errors = {}  # row -> (start, ValueError), its earliest start that raised
+    queue = iter(order)
+    ready = None  # the row whose continuation can start
+    stop = n_rows  # the first row not to start
+
+    def take():
+        nonlocal ready
+        if ready is not None:
+            r, ready = ready, None
+            return r, len(batteries[r]), best[r - 1][2][0]
+        r, i = next(queue, (n_rows, 0))
+        return (r, i, None) if r < stop else None
+
+    def finish(r, i, outcome):
+        nonlocal ready, stop
+        left[r] -= 1
+        if isinstance(outcome, ValueError):
+            stop = min(stop, r + 1)
+            if r not in errors or i < errors[r][0]:
+                errors[r] = i, outcome
+        elif best[r] is None or (outcome[1], i) < best[r][:2]:
+            best[r] = outcome[1], i, outcome
+        if left[r] == 0 and r + 1 < stop:
+            ready = r + 1
+
+    def descend(r, i, x0):
+        try:
+            return _descend(batteries[r][i][1] if x0 is None else x0, kind, rows[r], model)
+        except ValueError as exc:  # an epsilon that overflows the start
+            return exc
+
+    if fork is None:
+        while (task := take()) is not None:
+            finish(*task[:2], descend(*task))
+    else:
+        from multiprocessing.connection import wait
+
+        def serve(conn):
+            for task in iter(conn.recv, None):
+                conn.send(descend(*task))
+
+        procs, busy = {}, {}
+
+        def died(conn):
+            procs[conn].join()
+            return RuntimeError(f"a descent worker died with exit code {procs[conn].exitcode}")
+
+        try:
+            for _ in range(workers):
+                conn, theirs = fork.Pipe()
+                proc = fork.Process(target=serve, args=(theirs,), daemon=True)
+                proc.start()
+                # Only the worker holds its end, so the pipe closes when it dies.
+                theirs.close()
+                procs[conn] = proc
+            idle = list(procs)
+            while True:
+                while idle and (task := take()) is not None:
+                    conn = idle.pop()
+                    busy[conn] = task[:2]
+                    try:
+                        conn.send(task)
+                    except OSError:  # a worker that died idle
+                        raise died(conn) from None
+                if not busy:
+                    break
+                for conn in wait(list(busy)):
+                    try:
+                        outcome = conn.recv()
+                    except (EOFError, OSError):  # a reset if it died with the task unread
+                        raise died(conn) from None
+                    finish(*busy.pop(conn), outcome)
+                    idle.append(conn)
+        finally:
+            # Workers forked later hold the caller's ends of earlier pipes,
+            # so an idle worker is told to stop rather than left to see EOF.
+            for conn, proc in procs.items():
+                if conn in busy:
+                    proc.terminate()
+                    continue
+                try:
+                    conn.send(None)
+                except OSError:  # it died idle, after its last result
+                    pass
+            for conn, proc in procs.items():
+                proc.join()
+                conn.close()
+
     results = []
-    for settings, winner in zip(rows, _descend_all(batteries, kind, rows, model)):
-        if isinstance(winner, ValueError):
-            raise winner
-        x, fx, iterations, converged, history, label = winner
+    for r, (settings, battery) in enumerate(zip(rows, batteries)):
+        if r in errors:
+            raise errors[r][1]
+        _, i, (x, fx, iterations, converged, history) = best[r]
         with np.errstate(over="ignore"):
             rescaled = fx / settings.epsilon
         if not np.isfinite(rescaled):
@@ -1073,7 +1056,7 @@ def minimize(
                 iterations=iterations,
                 transition_count=kind.transitions(out),
                 converged=converged,
-                start_label=label,
+                start_label=battery[i][0] if i < len(battery) else "continuation",
                 energy_history=history,
             )
         )

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import re
 import signal
@@ -1272,6 +1273,103 @@ def test_a_worker_whose_descent_fails_raises_and_leaves_no_worker(monkeypatch, f
     assert time.perf_counter() - began < 30.0
     assert sorted(proc.exitcode for proc in forks) == [-signal.SIGTERM, 1]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "cpus, unread, exitcodes",
+    [
+        (3, False, [-signal.SIGTERM, -signal.SIGTERM, 3]),
+        (3, True, [-signal.SIGTERM, -signal.SIGTERM, 3]),
+        (4, False, [0, 0, 0, 3]),
+    ],
+    ids=["dead-when-handed-a-start", "dying-with-its-start-unread", "dead-after-its-last-result"],
+)
+def test_a_worker_that_dies_idle_raises_at_once_or_is_not_missed(
+    monkeypatch, forks, tmp_path, cpus, unread, exitcodes
+):
+    """The first worker to descend exits at its next recv, idle after its
+    first result, while the others are slowed.  On 3 CPUs it is the only
+    idle worker when the fourth start is handed out, and the call raises
+    RuntimeError at once: the send fails when the caller waited for the
+    worker to end, and the recv when the worker ends with the start unread.
+    On 4 CPUs every start was handed out before, so the call returns the
+    one-CPU run's bits, and the other workers are still told to stop.  No
+    worker is left either way."""
+    settings = SolveSettings(lam=1.4, epsilon=0.05, grid_n=64, max_iterations=20, multistart=1)
+    _on_cpus(monkeypatch, 1)
+    serial = minimize("E", LJ, [settings])[0]
+    caller = os.getpid()
+    fast = tmp_path / "fast"
+    mine = {}  # each worker's own copy, set in its first descent
+    descend = regularized._descend
+    recv = multiprocessing.connection.Connection.recv
+
+    def slowed(*args):
+        if os.getpid() != caller:
+            if "fast" not in mine:
+                try:
+                    fd = os.open(fast, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                except FileExistsError:
+                    mine["fast"] = False
+                else:
+                    os.write(fd, str(os.getpid()).encode())
+                    os.close(fd)
+                    mine["fast"] = True
+            if not mine["fast"]:
+                time.sleep(1.0 if cpus == 4 else 60.0)
+        return descend(*args)
+
+    def dying(self):
+        if mine.get("fast"):
+            time.sleep(0.5 if unread else 0.0)  # the start just sent stays unread
+            os._exit(3)
+        got = recv(self)
+        if os.getpid() == caller and not unread and fast.exists():
+            # Until the fast worker has ended, without reaping it.
+            os.waitid(os.P_PID, int(fast.read_text()), os.WEXITED | os.WNOWAIT)
+        return got
+
+    monkeypatch.setattr(regularized, "_descend", slowed)
+    monkeypatch.setattr(multiprocessing.connection.Connection, "recv", dying)
+    _on_cpus(monkeypatch, cpus)
+    began = time.perf_counter()
+    if cpus == 3:
+        with pytest.raises(RuntimeError, match="worker died with exit code 3"):
+            minimize("E", LJ, [settings])
+        assert time.perf_counter() - began < 30.0
+    else:
+        _assert_results_bitwise(minimize("E", LJ, [settings])[0], serial)
+    assert sorted(proc.exitcode for proc in forks) == exitcodes
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "epsilons, message",
+    [((1e-320, 1e153), "rescaled energy .* overflow"), ((1e153, 1e-320), "of a start .* overflow")],
+    ids=["rescaled-first", "start-first"],
+)
+def test_bitwise_the_earliest_rows_error_wins_on_every_cpu(monkeypatch, forks, epsilons, message):
+    """An epsilon that overflows the rescaled energy and one that overflows
+    every start: whichever row comes first raises its own ValueError, the
+    one-CPU loop's, on any CPU count."""
+    rows = [SolveSettings(lam=1.4, epsilon=eps, grid_n=32, max_iterations=5) for eps in epsilons]
+    _on_cpus(monkeypatch, 1)
+    with pytest.raises(ValueError, match=message) as serial:
+        minimize("E", LJ, rows)
+    assert forks == []
+    _on_cpus(monkeypatch, 3)
+    with pytest.raises(ValueError, match=message) as shared:
+        minimize("E", LJ, rows)
+    _assert_workers_ended(forks, 3)
+    assert str(shared.value) == str(serial.value)
+
+
+def test_minimize_with_no_rows_returns_no_result_and_forks_no_worker(monkeypatch, forks):
+    """No rows, no results, whatever the warm start, and nothing forked."""
+    _on_cpus(monkeypatch, 3)
+    assert minimize("E", LJ, []) == []
+    assert minimize("E", LJ, [], np.ones(10)) == []
+    assert forks == []
 
 
 # (functional, settings, epsilons): rows whose starts share the workers.
