@@ -911,9 +911,9 @@ def minimize(
     unpickled, since the functional's kernels and a model's densities may
     be closures.  Forking a process that runs other threads is unsafe, so
     then, with one CPU, or without fork, the caller descends every start
-    itself.  A worker that dies before its last result (any other
-    exception ends it) raises RuntimeError as soon as the caller finds its
-    pipe closed, and no worker outlives the call.
+    itself.  Any other exception ends its worker, and a worker that dies
+    before its last result makes the call raise RuntimeError as soon as
+    the caller finds its pipe closed.  No worker outlives the call.
 
     An epsilon so large that a start's energy or gradient overflows, or so
     small that the rescaled energy does, raises ValueError, as a loop over
