@@ -258,8 +258,8 @@ def _e_geometry(values, lam):
 
 def _e_energy_at(geometry, epsilon, model) -> float:
     values, d, dif = geometry
-    grad_term = (epsilon**2 / (2.0 * d)) * float(dif @ dif)
-    return grad_term + d * float(model.wstar(values).sum())
+    grad_term = (epsilon**2 / (2.0 * d)) * float(dif.dot(dif))
+    return grad_term + d * float(np.add.reduce(model.wstar(values)))
 
 
 def _e_grad_at(geometry, epsilon, model) -> np.ndarray:
@@ -288,8 +288,13 @@ def _v_geometry(values, lam):
     misfit at the cell midpoints: what the V energy and gradient share."""
     n = values.size - 1
     d = lam / n
-    slopes = (values[1:] - values[:-1]) / d
-    misfit = _midpoints(lam, n) - lam * 0.5 * (values[:-1] + values[1:])
+    left, right = values[:-1], values[1:]
+    slopes = right - left
+    slopes /= d
+    # midpoints - (lam * 0.5) * (left + right), in place
+    misfit = left + right
+    misfit *= lam * 0.5
+    np.subtract(_midpoints(lam, n), misfit, out=misfit)
     return (slopes, d, slopes[1:] - slopes[:-1]), misfit
 
 
@@ -298,7 +303,7 @@ def _v_energy_at(geometry, epsilon, mu, model) -> float:
     slopes, d, _ = cells
     # Stiffness k = epsilon * mu keeps the misfit term at unit order
     # after rescaling by 1/epsilon.
-    foundation = d * 0.5 * epsilon * mu * float((slopes * misfit) @ misfit)
+    foundation = d * 0.5 * epsilon * mu * float((slopes * misfit).dot(misfit))
     return _e_energy_at(cells, epsilon, model) + foundation
 
 
@@ -309,11 +314,21 @@ def _v_grad_at(geometry, lam, epsilon, mu, model) -> np.ndarray:
     # H_j = (h_{j+1} - h_j) / d puts a derivative in H_j, divided by d, on
     # node j + 1 and its negative on node j; the misfit reads the midpoint
     # value (h_j + h_{j+1}) / 2, so both nodes get half of its derivative.
-    by_slope = _e_grad_at(cells, epsilon, model) / d + 0.5 * k * misfit**2
-    by_value = -0.5 * d * k * lam * slopes * misfit
-    g = np.zeros(slopes.size + 1)
-    g[1:] = by_slope + by_value
-    g[:-1] += by_value - by_slope
+    # In place, and rounded as by_slope = e / d + (0.5 * k) * misfit**2,
+    # by_value = ((-0.5 * d * k * lam) * slopes) * misfit, g = 0,
+    # g[1:] = by_slope + by_value and g[:-1] += by_value - by_slope.
+    by_slope = _e_grad_at(cells, epsilon, model)
+    by_slope /= d
+    square = misfit**2
+    square *= 0.5 * k
+    by_slope += square
+    by_value = -0.5 * d * k * lam * slopes
+    by_value *= misfit
+    g = np.empty(slopes.size + 1)
+    g[0] = 0.0
+    np.add(by_slope, by_value, out=g[1:])
+    by_value -= by_slope
+    g[:-1] += by_value
     return g
 
 
@@ -438,7 +453,11 @@ def project_h(values: Sequence[float], lam: float) -> DiscreteField:
         raise ValueError("field values must be finite")
     out = np.empty(raw.size)
     out[0], out[-1] = 0.0, 1.0
-    np.clip(fit, 0.0, 1.0, out=out[1:-1])
+    # np.clip(fit, 0.0, 1.0) in two cheaper calls; maximum(0.0, fit), in
+    # this order, keeps a -0.0 of the fit as the clip does.
+    inner = out[1:-1]
+    np.maximum(0.0, fit, out=inner)
+    np.minimum(inner, 1.0, out=inner)
     return DiscreteField._adopt(lam, out)
 
 
@@ -629,6 +648,12 @@ def _descend(
     energy evaluation builds its point's geometry, and the gradient at an
     accepted point reads that geometry, so no gradient builds one.
 
+    The Barzilai-Borwein step s.s / s.y reads its pair s = x - x_prev,
+    y = g - g_prev from the accepted trial's back = x_prev - x: IEEE
+    subtraction and dot products are sign-symmetric, so s is -back to the
+    bit, s.y is -(back.y), and s.s is back.back, which is first.first, the
+    squared residual, when the first trial is accepted.
+
     Both kinds of iteration share the stationarity test, the cap, the
     accept-and-update step and ``history``.  A Newton iteration tests with
     the unit step, then steps along the projected arc P(x + t delta) from
@@ -664,7 +689,7 @@ def _descend(
                 f"gradient of a start on {settings.grid_n} cells overflow"
             )
     history = [fx]
-    x_prev = g_prev = None
+    prev = None  # the last accepted step's back, back . back and gradient
     step = _STEP_INIT
     converged = False
     iterations = 0
@@ -674,12 +699,11 @@ def _descend(
         newton = kind.hessian_at is not None and iterations >= _NEWTON_AFTER
         if newton:
             step = 1.0
-        elif x_prev is not None:
-            s = x - x_prev
-            yv = gx - g_prev
-            sy = float(s @ yv)
+        elif prev is not None:
+            back_prev, ss, g_prev = prev
+            sy = -float(back_prev.dot(gx - g_prev))
             if sy > 1e-30:
-                step = min(max(float(s @ s) / sy, _STEP_MIN), _STEP_MAX)
+                step = min(max(ss / sy, _STEP_MIN), _STEP_MAX)
             else:
                 step = min(2.0 * step, _STEP_MAX)
         xn = kind.project(x - step * gx, lam)
@@ -694,12 +718,13 @@ def _descend(
         # back to x and r(step) reads 0.  So a pass with step < 1 is
         # confirmed once with the unit-step residual itself.  A Newton
         # iteration takes step 1, so its first trial is the unit step.
-        tol = GTOL * (1.0 + math.sqrt(gx @ gx))
+        tol = GTOL * (1.0 + math.sqrt(gx.dot(gx)))
         back = first = x - xn
-        residual = math.sqrt(first @ first)
+        ff = float(first.dot(first))
+        residual = math.sqrt(ff)
         if residual / min(step, 1.0) <= tol:
             unit = first if step >= 1.0 else x - kind.project(x - gx, lam)
-            if math.sqrt(unit @ unit) <= tol:
+            if math.sqrt(unit.dot(unit)) <= tol:
                 iterations += 1
                 converged = True
                 break
@@ -735,7 +760,7 @@ def _descend(
                 if attempt:
                     xn = x - t * first
                     back = x - xn
-                bound = fx - _ARMIJO * float(gx @ back)
+                bound = fx - _ARMIJO * float(gx.dot(back))
             geometry = kind.geometry(xn, lam)
             fn = kind.energy_at(geometry, settings, model)
             if fn <= bound:
@@ -748,7 +773,7 @@ def _descend(
             iterations += not newton
             break  # no admissible descent step left at this precision
         iterations += 1
-        x_prev, g_prev = x, gx
+        prev = back, ff if back is first else float(back.dot(back)), gx
         x, fx = xn, fn
         gx = kind.gradient_at(geometry, settings, model)
         history.append(fx)

@@ -1722,6 +1722,195 @@ def test_minimize_is_bitwise_the_best_descent_of_the_battery():
     assert result.energy_history == history
 
 
+# ------------------------------------------------------------ kernels pinned to their formulas
+#
+# ``_descend_oracle`` calls the kernels that ``_descend`` calls, so it
+# cannot see a kernel whose arithmetic rounds differently.  These are the
+# kernels' reference formulas, literal copies of the arithmetic written
+# with ``@``, ``.sum()``, ``np.zeros`` and ``np.clip``, and the kernels
+# must give their bits.
+
+
+def _reference_e_geometry(values, lam):
+    return values, lam / values.size, values[1:] - values[:-1]
+
+
+def _reference_e_energy_at(geometry, epsilon, model):
+    values, d, dif = geometry
+    grad_term = (epsilon**2 / (2.0 * d)) * float(dif @ dif)
+    return grad_term + d * float(model.wstar(values).sum())
+
+
+def _reference_e_grad_at(geometry, epsilon, model):
+    values, d, dif = geometry
+    scaled = (epsilon**2 / d) * dif
+    g = model.wstar_prime(values)
+    g *= d
+    g[:-1] -= scaled
+    g[1:] += scaled
+    return g
+
+
+def _reference_v_geometry(values, lam):
+    n = values.size - 1
+    d = lam / n
+    slopes = (values[1:] - values[:-1]) / d
+    midpoints = (np.arange(n) + 0.5) * (lam / n)
+    misfit = midpoints - lam * 0.5 * (values[:-1] + values[1:])
+    return (slopes, d, slopes[1:] - slopes[:-1]), misfit
+
+
+def _reference_v_energy_at(geometry, epsilon, mu, model):
+    cells, misfit = geometry
+    slopes, d, _ = cells
+    foundation = d * 0.5 * epsilon * mu * float((slopes * misfit) @ misfit)
+    return _reference_e_energy_at(cells, epsilon, model) + foundation
+
+
+def _reference_v_grad_at(geometry, lam, epsilon, mu, model):
+    cells, misfit = geometry
+    slopes, d, _ = cells
+    k = epsilon * mu
+    by_slope = _reference_e_grad_at(cells, epsilon, model) / d + 0.5 * k * misfit**2
+    by_value = -0.5 * d * k * lam * slopes * misfit
+    g = np.zeros(slopes.size + 1)
+    g[1:] = by_slope + by_value
+    g[:-1] += by_value - by_slope
+    return g
+
+
+def _reference_project_h(values, lam):
+    """``project_h``'s arithmetic on valid input; PAV is pinned to its
+    own reference loop above."""
+    raw = np.asarray(values, dtype=float)
+    fit = isotonic_regression(raw[1:-1])
+    out = np.empty(raw.size)
+    out[0], out[-1] = 0.0, 1.0
+    np.clip(fit, 0.0, 1.0, out=out[1:-1])
+    return out
+
+
+def _same_bits(mine, reference):
+    """Equal bytes, so that a -0.0 for a 0.0 is a difference too."""
+    mine, reference = np.asarray(mine), np.asarray(reference)
+    return mine.dtype == reference.dtype and mine.tobytes() == reference.tobytes()
+
+
+def _sweep_V_points(label, first=200, last=300):
+    """The points that the descent from sweep-V's start ``label`` (N 1000,
+    epsilon 0.02, seed 0) evaluates, and those it projects, in its
+    iterations ``first`` to ``last``, where it runs to its cap."""
+    settings = SolveSettings(lam=1.5, epsilon=0.02, mu=200.0, grid_n=1000, max_iterations=last)
+    kind = _FUNCTIONALS["V"]
+    gradients, evaluated, projected = [0], [], []
+
+    def geometry(values, lam):
+        if gradients[0] >= first:
+            evaluated.append(values)
+        return kind.geometry(values, lam)
+
+    def gradient_at(*args):
+        gradients[0] += 1  # iteration i follows the i-th gradient
+        return kind.gradient_at(*args)
+
+    def project(values, lam):
+        if gradients[0] >= first:
+            projected.append(values)
+        return kind.project(values, lam)
+
+    x0 = dict(_start_battery(kind, LJ, settings))[label]
+    hooked = kind._replace(geometry=geometry, gradient_at=gradient_at, project=project)
+    iterations = _descend(x0, hooked, settings, LJ)[2]
+    assert iterations == last
+    return settings, evaluated, projected
+
+
+@pytest.mark.parametrize("label", ["mollified-A4", "mollified-B4", "random-0"])
+def test_bitwise_V_kernels_are_their_reference_formulas_on_sweep_V_iterates(label):
+    settings, evaluated, projected = _sweep_V_points(label)
+    lam, eps, mu = settings.lam, settings.epsilon, settings.mu
+    # Some trials backtracked, and PAV pooled in the projections.
+    assert len(evaluated) > len(projected) > 100
+    for v in evaluated:
+        h = DiscreteField(lam, v)
+        geometry = _reference_v_geometry(v, lam)
+        assert _same_bits(eval_V_eps(h, eps, mu, LJ), _reference_v_energy_at(geometry, eps, mu, LJ))
+        assert _same_bits(grad_V_eps(h, eps, mu, LJ), _reference_v_grad_at(geometry, lam, eps, mu, LJ))
+    for v in projected:
+        assert not np.all(np.diff(v[1:-1]) >= 0.0)
+        assert _same_bits(project_h(v, lam).values, _reference_project_h(v, lam))
+
+
+@pytest.mark.parametrize("n", [200, 4000])
+def test_bitwise_E_kernels_are_their_reference_formulas_on_random_fields(n):
+    rng = np.random.default_rng(n)
+    lam, eps = 1.4, 0.02
+    fields = [
+        rng.uniform(0.0, 2.5, n),
+        project_H(rng.uniform(-1.0, 3.0, n), lam).values,  # zeros, unit mass
+        1.0 / lam + 0.1 * np.cumsum(rng.standard_normal(n)) / math.sqrt(n),
+    ]
+    for values in fields:
+        geometry = _reference_e_geometry(values, lam)
+        cells = CellField(lam, values)
+        assert _same_bits(eval_E_eps(cells, eps, LJ), _reference_e_energy_at(geometry, eps, LJ))
+        assert _same_bits(grad_E_eps(cells, eps, LJ), _reference_e_grad_at(geometry, eps, LJ))
+
+
+def test_bitwise_project_h_is_its_reference_formula_on_signed_zeros():
+    """The clip keeps a -0.0 of the fit; so must ``project_h``."""
+    rng = np.random.default_rng(5)
+    for n in (3, 4, 17, 1001):
+        ramp = np.linspace(0.0, 1.0, n)
+        for raw in (
+            np.full(n, -0.0),
+            np.where(rng.random(n) < 0.4, -0.0, ramp),
+            np.where(rng.random(n) < 0.4, -0.0, ramp + 0.3 * rng.standard_normal(n)),
+            np.where(rng.random(n) < 0.4, 1.0, -ramp),
+        ):
+            assert _same_bits(project_h(raw, 1.5).values, _reference_project_h(raw, 1.5))
+    assert np.signbit(project_h(np.full(5, -0.0), 1.5).values[1:-1]).all()
+
+
+@pytest.mark.parametrize(
+    "functional, settings",
+    [
+        ("V", SolveSettings(lam=1.5, epsilon=0.04, mu=200.0, grid_n=200, max_iterations=60)),
+        ("E", SolveSettings(lam=1.4, epsilon=0.05, grid_n=300, max_iterations=60)),
+    ],
+)
+def test_the_descent_looks_up_its_projections_by_module_name(monkeypatch, functional, settings):
+    """Counting wrappers over ``project_h``, ``isotonic_regression`` and
+    ``project_H`` at their module names see every projection of a
+    one-CPU solve, as perfbench's tracer wraps those names: every
+    ``project_h`` makes one PAV call, and each descent projects its start
+    and at least once per iteration."""
+    calls = dict.fromkeys(("project_h", "isotonic_regression", "project_H"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _inner=getattr(regularized, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(regularized, name, counting)
+    projection = "project_h" if functional == "V" else "project_H"
+    per_descent = []
+    descend = regularized._descend
+
+    def counted(*args):
+        before = calls[projection]
+        out = descend(*args)
+        per_descent.append((calls[projection] - before, out[2]))
+        return out
+
+    monkeypatch.setattr(regularized, "_descend", counted)
+    _on_cpus(monkeypatch, 1)
+    minimize(functional, LJ, [settings])
+    assert calls["isotonic_regression"] == calls["project_h"]
+    assert calls["project_h" if functional == "E" else "project_H"] == 0
+    assert len(per_descent) == len(_start_battery(_FUNCTIONALS[functional], LJ, settings))
+    assert all(projections >= 1 + iterations >= 2 for projections, iterations in per_descent)
+    assert sum(projections for projections, _ in per_descent) == calls[projection]
+
+
 def _blockwise_solve(off, diag, rhs):
     """np.linalg.solve of the tridiagonal system, one dense solve per block
     between zero off-diagonals, so that large systems stay small."""
