@@ -98,9 +98,9 @@ class DiscreteField:
     """Node values on the uniform grid y_j = j * domain_length / N.
 
     The constructor stores a float copy of ``values``, so the caller may
-    go on changing its array.  The projections build a fresh array per
-    call and hand it over through ``_adopt``, which keeps it uncopied;
-    both check it the same way.
+    go on changing its array, and checks it.  The projections check their
+    input, build a fresh array per call and hand it over through
+    ``_adopt``, which keeps it uncopied and unchecked.
     """
 
     domain_length: float
@@ -108,21 +108,17 @@ class DiscreteField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).copy()
-        self._check()
-
-    @classmethod
-    def _adopt(cls, domain_length: float, values: np.ndarray) -> DiscreteField:
-        """A field holding ``values`` itself: a float array that the
-        caller has just built and shares with no one."""
-        out = object.__new__(cls)
-        out.domain_length, out.values = domain_length, values
-        out._check()
-        return out
-
-    def _check(self):
         _check_grid(self.domain_length, self.values)
         if not np.isfinite(self.values).all():
             raise ValueError("field values must be finite")
+
+    @classmethod
+    def _adopt(cls, domain_length: float, values: np.ndarray) -> DiscreteField:
+        """A field holding ``values`` itself: a finite float array on a
+        checked grid that the caller has just built and shares with no one."""
+        out = object.__new__(cls)
+        out.domain_length, out.values = domain_length, values
+        return out
 
     @property
     def n_cells(self) -> int:
@@ -344,9 +340,9 @@ def project_H(values: Sequence[float], lam: float) -> CellField:
     terms sum to 1/d > 0; the loop ends within N passes at a point that
     meets the optimality conditions, with d * sum(H) = 1 to machine
     accuracy.  A domain length or a value count that ``DiscreteField``
-    rejects raises its ValueError first, and so does a NaN or +inf value;
-    a -inf value projects to 0.  The result is a new array, never a view
-    of ``values``.
+    rejects raises its ValueError first, and so does a NaN or +inf value,
+    or a sum of values or a 1/d that overflows; a -inf value projects to
+    0.  The result is a new array, never a view of ``values``.
     """
     raw = np.asarray(values, dtype=float)
     _check_grid(lam, raw)
@@ -356,12 +352,15 @@ def project_H(values: Sequence[float], lam: float) -> CellField:
         tau = (r.sum() - target) / r.size
         keep = r > tau
         if keep.all():
+            if tau == -math.inf:  # a sum of finite values, or 1/d, overflowed
+                raise ValueError("field values must be finite")
             h = raw - tau
             return CellField._adopt(lam, np.maximum(0.0, h, out=h))
         if not keep.any():
             # A NaN or +inf makes the first tau NaN or +inf, so no cell
-            # stays.  (A -inf cell drops out of an earlier pass, to 0.)
-            if not np.isfinite(r).all():
+            # stays, as does a finite sum that overflows; an infinite 1/d
+            # would share +inf.  (A -inf cell drops out of an earlier pass, to 0.)
+            if not (np.isfinite(r).all() and target < math.inf):
                 raise ValueError("field values must be finite")
             # Rounding drops every cell once a spike exceeds about 2^53 / d.
             # The last active set, the cells at or above its least value,
@@ -395,7 +394,7 @@ def isotonic_regression(y: Sequence[float]) -> np.ndarray:
     ys = memoryview(out)
     closed = []
     below_end = 0
-    for k in np.flatnonzero(out[:-1] > out[1:]).tolist():
+    for k in (out[:-1] > out[1:]).nonzero()[0].tolist():
         if k < below_end:
             continue  # inside a pooled block, or the drop a block closed at
         s, m, c = k + 1, ys[k + 1], 1.0
@@ -446,10 +445,10 @@ def project_h(values: Sequence[float], lam: float) -> DiscreteField:
     """
     raw = np.asarray(values, dtype=float)
     _check_grid(lam, raw)
-    if not (raw[0] < math.inf and raw[-1] < math.inf):  # the ends are not read below
-        raise ValueError("field values must be finite")
     fit = isotonic_regression(raw[1:-1])
-    if fit[-1] == math.inf:  # a +inf ends the fit, and the clip would hide it
+    # The ends are not read into the fit, where a NaN or +inf, given or from
+    # a pooled sum that overflows, stays and is the max; the clip hides a +inf.
+    if not (raw[0] < math.inf and raw[-1] < math.inf and fit.max() < math.inf):
         raise ValueError("field values must be finite")
     out = np.empty(raw.size)
     out[0], out[-1] = 0.0, 1.0

@@ -3,9 +3,10 @@
 CSV numbers are written with 12 significant digits, below the tightest
 tolerance used anywhere, so emitted files re-parse to equivalent
 values and identical inputs produce byte-identical output.  Every JSON
-file is ``json_text``'s, which writes the bytes of
-``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline but builds
-them itself: json.dumps with an indent runs json's pure-Python encoder.
+file is ``json_text``'s: the bytes of ``json.dumps(obj, indent=2,
+sort_keys=True)`` plus a newline, built by its own writer for the
+payloads this package makes (json.dumps with an indent runs json's
+pure-Python encoder) and by json.dumps for any other.
 
 Every output file is written by ``write_text``, the one write path:
 UTF-8 with ``"\n"`` line ends on every platform, overwritten in place,
@@ -58,102 +59,75 @@ def format_number(x) -> str:
     return f"{float(x):.12g}"
 
 
-# json's scalar writers: its C string quoter, and float.__repr__ with
-# json's texts for NaN and the infinities.
+# json's C string quoter, and its float text for a finite float.
 _quote = json.encoder.encode_basestring_ascii
 _repr = float.__repr__
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# A list or dict nested deeper than this, as a circular payload is, goes
+# to json.dumps, which writes it or raises its own ValueError.
+_MAX_DEPTH = 32
 
 
-def _scalar_text(o):
-    """json's text of a scalar, tested in json.encoder's isinstance
-    order; None for a list, tuple or dict."""
-    if isinstance(o, str):
-        return _quote(o)
-    if o is None or o is True or o is False:
-        return "null" if o is None else "true" if o else "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        text = _repr(o)
-        return _NONFINITE.get(text, text)
-    if isinstance(o, (list, tuple, dict)):
-        return None
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+class _NotPlain(Exception):
+    """Raised by ``_emit`` on a value that it leaves to json.dumps."""
 
 
 def json_text(obj) -> str:
     """The JSON file text of ``obj``: the bytes of
-    ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, with json's
-    TypeError for a value or key it cannot encode and its ValueError for
-    a circular payload.  The chunks of the text go to one list, joined
-    once."""
+    ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``.  ``_emit``
+    writes a dict or list of only exact dicts with str keys, lists, str,
+    int, bool, None and finite floats, as this package's payloads are, to
+    one list of chunks joined once.  Any other payload, such as one with a
+    NaN, a numpy scalar, a tuple, a subclass or a non-str key, is
+    json.dumps's whole, with its bytes and its TypeError or ValueError."""
     out = []
-    text = _scalar_text(obj)
-    if text is None:
-        _emit(obj, out, "\n", set(), {})
-    else:
-        out.append(text)
+    try:
+        _emit(obj, out, "\n", {})
+    except _NotPlain:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
     out.append("\n")
     return "".join(out)
 
 
-def _emit(o, out, nl, active, shapes) -> None:
-    """Append the chunks of the list, tuple or dict ``o``, whose lines
-    start with ``nl``, to ``out``.  ``active`` holds the ids of the
-    containers being written; ``shapes`` maps the str keys of a dict, in
-    its order, and its indent to the sorted keys and their line starts."""
-    is_dict = isinstance(o, dict)
+def _emit(o, out, nl, shapes) -> None:
+    """Append the chunks of the dict or list ``o``, whose lines start
+    with ``nl``, to ``out``; raise _NotPlain on a value that is not plain.
+    ``shapes`` maps the keys of a dict, in its order, and its indent to
+    the sorted keys and their line starts."""
+    is_dict = type(o) is dict
+    if not (is_dict or type(o) is list) or len(nl) > 2 * _MAX_DEPTH:
+        raise _NotPlain
     if not o:
         out.append("{}" if is_dict else "[]")
         return
-    if (ident := id(o)) in active:
-        raise ValueError("Circular reference detected")
     inner = nl + "  "
     sep = "," + inner
-    if not is_dict and type(o[0]) is float:  # a list of finite floats, joined in C
-        try:
-            text = sep.join(map(_repr, o))  # float.__repr__ rejects a non-float
-        except TypeError:
-            text = "n"
-        if "n" not in text:  # no nan or inf
-            out.append("[" + inner + text + nl + "]")
-            return
-    active.add(ident)
     heads, values = repeat(sep), o
     if is_dict:
-        if type(o) is not dict:
-            o = dict(o.items())  # the items json reads from a subclass
         shape = (tuple(o), inner)
         if (keys_heads := shapes.get(shape)) is None:
-            keys, heads = sorted(o), []  # line starts up to the first key json rejects
-            for key in keys:
-                if not isinstance(key, str):
-                    shape = None  # 1, 1.0 and True are one key with three texts
-                    if not (key is None or isinstance(key, (int, float))):
-                        break
-                    key = _scalar_text(key)
-                heads.append(sep + _quote(key) + ": ")
-            keys_heads = keys, heads
-            if shape:
-                shapes[shape] = keys_heads
+            if any(type(key) is not str for key in o):
+                raise _NotPlain
+            keys = sorted(o)
+            keys_heads = shapes[shape] = keys, [sep + _quote(key) + ": " for key in keys]
         keys, heads = keys_heads
         values = map(o.__getitem__, keys)
     start = len(out)
     for head, value in zip(heads, values):
-        if type(value) is float and value - value == 0.0:
+        kind = type(value)
+        if kind is float and value - value == 0.0:
             out.append(head + _repr(value))
-        elif (text := _scalar_text(value)) is not None:
-            out.append(head + text)
+        elif kind is str:
+            out.append(head + _quote(value))
+        elif kind is int:
+            out.append(head + int.__repr__(value))
+        elif kind is bool or value is None:
+            out.append(head + ("null" if value is None else "true" if value else "false"))
         else:
             out.append(head)
-            _emit(value, out, inner, active, shapes)
-    if is_dict and len(heads) < len(keys):
-        name = keys[len(heads)].__class__.__name__
-        raise TypeError(f"keys must be str, int, float, bool or None, not {name}")
+            _emit(value, out, inner, shapes)
     out[start] = ("{" if is_dict else "[") + out[start][1:]
     out.append(nl + ("}" if is_dict else "]"))
-    active.discard(ident)
 
 
 def field_to_text(field: PiecewiseLinearField) -> str:

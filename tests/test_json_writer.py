@@ -1,20 +1,25 @@
 """The JSON writer ``serialize.json_text`` against ``json.dumps``.
 
-Every JSON file the CLI writes goes through ``json_text``, which builds
-its text itself and must give the bytes of
-``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``: on the payloads of
-real commands, on seeded random nested payloads, on numpy floats and on
-subclasses of int, str and dict, and it must raise where ``json.dumps``
-raises.  As ``json_text`` shares no code with ``json.dumps``, each
-comparison is an independent check.
+Every JSON file the CLI writes goes through ``json_text``, which must
+give the bytes of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``:
+on the payloads of real commands, on seeded random nested payloads, on
+numpy floats and on subclasses of int, str and dict, and it must raise
+where ``json.dumps`` raises.  ``json_text`` builds the text of a plain
+payload, one of only exact dicts with str keys, lists, str, int, bool,
+None and finite floats, itself, and hands every other payload to
+``json.dumps``.  The routing test pins that every payload of a real
+command is plain, so the comparisons on real payloads, and on the plain
+ones among the random payloads, stay independent checks.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import enum
 import io
 import json
+import math
 import random
 import sys
 from decimal import Decimal
@@ -91,6 +96,54 @@ def test_every_payload_of_a_many_row_scan(tmp_path, recorded):
     [(obj, text)] = recorded
     assert len(obj["rows"]) == 1999
     assert text == reference(obj)
+
+
+def _workloads():
+    sys.path.insert(0, str(ROOT))
+    try:
+        from perfbench.workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(ROOT))
+    return WORKLOADS
+
+
+def _commands(out: Path) -> list[list[str]]:
+    """A seed-7 closed-form pass, perfbench's V and I sweeps on a small
+    grid, a V and an E minimize and a 1999-row scan, writing to ``out``."""
+    workloads = _workloads()
+    argvs = [list(op.argv) for op in workloads["closed-form"].ops(7, out)]
+    for name in ("sweep-V", "sweep-I"):
+        small = dataclasses.replace(workloads[name], grid=64, epsilons=(0.1, 0.05),
+                                    max_iterations=20, multistart=1)
+        argvs += [list(op.argv) for op in small.ops(7, out)]
+    for functional, lam in (("V", "1.5"), ("E", "1.4")):
+        argvs.append(["minimize", "--functional", functional, "--lambda", lam, "--mu", "200",
+                      "--epsilon", "0.05", "--grid", "64", "--max-iterations", "20",
+                      "--out", str(out)])
+    argvs.append(["scan", "--mu", "2000", "--lambda-min", "1", "--lambda-max", "3",
+                  "--step", "0.001", "--out", str(out)])
+    return argvs
+
+
+def test_the_commands_payloads_never_reach_json_dumps(tmp_path, monkeypatch):
+    """Every payload a command writes is plain: with json.dumps raising,
+    the commands still write every file, byte for byte as with it."""
+    run_commands(_commands(tmp_path / "with"))
+
+    def refuse(obj, *args, **kwargs):
+        raise AssertionError(f"json.dumps reached with {obj!r:.200}")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    with pytest.raises(AssertionError, match="json.dumps reached"):
+        serialize.json_text([math.nan])
+    run_commands(_commands(tmp_path / "without"))
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    written = files(tmp_path / "with")
+    assert sum(p.suffix == ".json" for p in written) == 5 * 64 + 5
+    assert files(tmp_path / "without") == written
 
 
 # Strings with quotes, backslashes, control characters, non-ASCII and

@@ -751,6 +751,36 @@ def test_project_H_rejects_a_nan_or_infinite_value(bad):
         project_H([bad, 1.0, 2.0, 0.5], 1.0)
 
 
+def test_projections_of_huge_and_infinite_values_are_finite_or_raise():
+    """The projections hand their arrays to DiscreteField unchecked, so
+    their own checks keep every value they return finite.  Values mixing
+    +-1e308 with a -inf cell project to a finite feasible point; where a
+    sum of finite values, 1/d or a pooled PAV sum overflows, they raise
+    rather than return +inf or NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the sums that overflow
+        for raw, lam in (
+            ([-1e308, 0.3, -math.inf, 0.9, 0.1], 1.0),  # Michelot's loop ends
+            ([1e308, -1e308, -1e308, -math.inf, 1e308], 1.0),  # the spike branch
+            ([1e308, -1e308, 0.5, -math.inf, 0.25, -1e308], 1.5),
+        ):
+            h = project_H(raw, lam).values
+            assert np.isfinite(h).all() and (h >= 0.0).all(), raw
+            assert abs(lam / len(raw) * h.sum() - 1.0) <= 1e-12, raw
+        h = project_h([0.0, -1e308, 1e308, -math.inf, 0.5, 1e308], 1.0).values
+        assert np.array_equal(h, [0.0, 0.0, 0.0, 0.0, 0.5, 1.0])
+        for raw, lam in (
+            ([-1e308, 0.3, -math.inf, 0.9, -1e308, 0.1], 1.0),  # tau = -inf
+            ([1.0, -math.inf, 2.0], 5e-324),  # 1/d = inf
+            ([1e308, 1e308, 1e308], 5e-324),  # and a sum of +inf: the spike branch
+        ):
+            with pytest.raises(ValueError, match="field values must be finite"):
+                project_H(raw, lam)
+        # The pooled mean of 1.7e308 and 1.6e308 is +inf, and -inf then makes it NaN.
+        with pytest.raises(ValueError, match="field values must be finite"):
+            project_h([0.0, 1.7e308, 1.6e308, -1.7e308, -math.inf, 1.0], 1.0)
+
+
 def test_a_warm_start_of_nans_raises_from_E_as_from_V():
     settings = SolveSettings(lam=1.4, epsilon=0.05, grid_n=64, max_iterations=5, multistart=0)
     for functional, size in (("E", 64), ("V", 65)):
