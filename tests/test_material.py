@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +151,75 @@ def test_adaptive_quadrature_rejects_a_non_finite_tolerance(abs_tol):
     with pytest.raises(ValueError, match="abs_tol"):
         adaptive_quadrature(integrand, 0.0, 1.0, abs_tol)
     assert calls == []
+
+
+def test_c_wstar_is_exact_to_rounding():
+    assert abs(c_wstar(builtin_lj()) - C_LJ) <= 2e-15
+    quartic = polynomial_model("quartic", [0.0, 0.0, 2.0, -4.0, 2.0])
+    assert abs(c_wstar(quartic) - 1.0 / 3.0) <= 2e-15
+
+
+def test_the_cwstar_command_prints_c_correctly_rounded(capsys):
+    from fracture1d import cli
+
+    assert cli.main(["cwstar", "--model", "lj"]) == 0
+    assert capsys.readouterr().out.startswith("0.377123616633 ")
+
+
+@pytest.mark.parametrize("end", ["a", "b"])
+def test_square_root_behaviour_at_either_end_is_integrated_to_rounding(end):
+    a, b = 0.3, 2.1
+
+    def integrand(x):
+        return np.sqrt(x - a) if end == "a" else np.sqrt(b - x)
+
+    value, _ = adaptive_quadrature(integrand, a, b, 1e-13)
+    assert abs(value - (2.0 / 3.0) * 1.8**1.5) <= 1e-13
+
+
+def test_an_empty_interval_integrates_to_zero():
+    assert adaptive_quadrature(np.sqrt, 0.7, 0.7, 1e-10) == (0.0, 0.0)
+
+
+def test_rules_that_agree_bit_for_bit_still_report_a_rounding_error(monkeypatch):
+    """Converged rules can round to the same bits; the error estimate is
+    then the value's last-place unit, so a tolerance below it is never met."""
+    import fracture1d.material as material
+
+    eight = material._rule(8)
+    monkeypatch.setattr(material, "_rule", lambda n: eight)
+    value, err = adaptive_quadrature(np.sqrt, 0.0, 1.0, 1e-10)
+    assert err == math.ulp(value) > 0.0
+    with pytest.raises(NonConvergence) as info:
+        adaptive_quadrature(np.sqrt, 0.0, 1.0, 1e-30)
+    assert info.value.error == math.ulp(info.value.value)
+
+
+def test_a_quadrature_rule_is_read_only():
+    from fracture1d.material import _rule
+
+    nodes, weights = _rule(16)
+    assert _rule(16)[0] is nodes
+    for array in (nodes, weights):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_the_set_up_path_leaves_numpy_polynomial_unloaded():
+    """perfbench's set-up probe imports the CLI and computes c_wstar once;
+    importing numpy.polynomial would add milliseconds to it."""
+    import fracture1d
+
+    code = (
+        "import sys\n"
+        "import fracture1d.cli\n"
+        "from fracture1d.material import c_wstar, resolve_model\n"
+        "c_wstar(resolve_model('lj'))\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fracture1d.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "False\n")
 
 
 def test_direct_view_matches_lennard_jones_closed_form():
